@@ -9,8 +9,12 @@ package sbitmap
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // batchBenchLen is the per-call batch length of the benches; large enough
@@ -209,4 +213,85 @@ func BenchmarkBatchAddShardedString(b *testing.B) {
 			}
 		})
 	})
+}
+
+// The Store benches run at the sketchd bulk workload's shape: 100k string
+// keys whose weights are log-uniform in [1, 10^4], fed 8192-record frames
+// under spec sbitmap:n=1e5,eps=0.05. Warm ingests into a store whose keys
+// were all restored through RestoreStripe (the served store after a
+// restart); Cold into a fresh store that materializes keys as it goes.
+// Both report ns/record.
+const (
+	storeBenchKeys   = 100_000
+	storeBenchFrame  = 8192
+	storeBenchFrames = 64
+	storeBenchSpec   = "sbitmap:n=1e5,eps=0.05,seed=2"
+)
+
+// storeBenchInput returns the keys and storeBenchFrames frames of records.
+func storeBenchInput() (keys []string, frameKeys [][]string, frameItems [][]uint64) {
+	r := xrand.New(1)
+	keys = make([]string, storeBenchKeys)
+	cum := make([]float64, storeBenchKeys)
+	total := 0.0
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%016x", xrand.Mix64(uint64(i)))
+		total += math.Exp(r.Float64() * math.Log(1e4))
+		cum[i] = total
+	}
+	for f := 0; f < storeBenchFrames; f++ {
+		fk := make([]string, storeBenchFrame)
+		fi := make([]uint64, storeBenchFrame)
+		for i := range fk {
+			fk[i] = keys[sort.SearchFloat64s(cum, r.Float64()*total)]
+			fi[i] = r.Uint64n(1 << 20)
+		}
+		frameKeys, frameItems = append(frameKeys, fk), append(frameItems, fi)
+	}
+	return keys, frameKeys, frameItems
+}
+
+func BenchmarkStoreAddBatchWarm(b *testing.B) {
+	keys, fk, fi := storeBenchInput()
+	src, err := NewStore[string](MustSpec(storeBenchSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.AddBatch64(keys, make([]uint64, len(keys)))
+	for f := range fk {
+		src.AddBatch64(fk[f], fi[f])
+	}
+	blobs, _, err := src.MarshalStripes(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, _ := NewStore[string](MustSpec(storeBenchSpec))
+	for _, blob := range blobs {
+		if _, err := s.RestoreStripe(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	src, blobs = nil, nil
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := i % storeBenchFrames
+		s.AddBatch64(fk[f], fi[f])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*storeBenchFrame), "ns/record")
+}
+
+func BenchmarkStoreAddBatchCold(b *testing.B) {
+	_, fk, fi := storeBenchInput()
+	var s *Store[string]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := i % storeBenchFrames
+		if f == 0 {
+			b.StopTimer()
+			s, _ = NewStore[string](MustSpec(storeBenchSpec))
+			b.StartTimer()
+		}
+		s.AddBatch64(fk[f], fi[f])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*storeBenchFrame), "ns/record")
 }

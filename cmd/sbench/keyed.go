@@ -14,14 +14,10 @@ package main
 // stable signal).
 
 import (
-	"encoding"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	sbitmap "repro"
@@ -55,13 +51,7 @@ type keyedReport struct {
 		Spec     string  `json:"spec"`
 	} `json:"config"`
 	Results []keyedResult `json:"results"`
-	Alloc   struct {
-		HeapColdPerSec float64 `json:"heap_cold_records_per_sec"`
-		SlabColdPerSec float64 `json:"slab_cold_records_per_sec"`
-		Speedup        float64 `json:"slab_speedup"`
-		BitIdentical   bool    `json:"bit_identical"`
-	} `json:"alloc"`
-	Store struct {
+	Store   struct {
 		Keys           int     `json:"keys"`
 		SizeBits       int     `json:"size_bits"`
 		FootprintBytes int     `json:"footprint_bytes"`
@@ -118,32 +108,6 @@ func keyedPass(records *stream.KeyedSpread, spreads []int, locality string, sink
 	flush()
 }
 
-// keyedStateDigest folds every key's marshaled counter state into one
-// order-independent digest (per-key FNV, combined by xor and sum), so two
-// million-key stores can be compared bit-for-bit without holding both
-// serialized states in memory.
-func keyedStateDigest(store *sbitmap.Store[uint64]) (uint64, error) {
-	var x, sum uint64
-	var ferr error
-	store.ForEach(func(k uint64, c sbitmap.Counter) bool {
-		blob, err := c.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			ferr = err
-			return false
-		}
-		h := fnv.New64a()
-		var kb [8]byte
-		binary.LittleEndian.PutUint64(kb[:], k)
-		h.Write(kb[:])
-		h.Write(blob)
-		d := h.Sum64()
-		x ^= d
-		sum += d
-		return true
-	})
-	return x ^ (sum * 0x9e3779b97f4a7c15), ferr
-}
-
 // runKeyed measures keyed ingest at the million-key scale and prints a
 // table; jsonPath != "" additionally writes the machine-readable report.
 func runKeyed(jsonPath string, seed uint64) error {
@@ -155,50 +119,12 @@ func runKeyed(jsonPath string, seed uint64) error {
 	spreads := keyedSpreads(seed)
 	records := stream.NewKeyedSpread(spreads, keyedDup, seed)
 
-	report := keyedReport{Schema: "sbitmap-keyed/v1"}
+	report := keyedReport{Schema: "sbitmap-keyed/v2"}
 	report.Config.Keys = records.Keys()
 	report.Config.Records = records.Records()
 	report.Config.Dup = keyedDup
 	report.Config.BatchLen = keyedBatch
 	report.Config.Spec = spec.String()
-
-	// Cold-path allocator cell, measured first while the heap is clean
-	// (a retained million-key store inflates GC mark cost enough to bury
-	// the allocator delta): the scattered cold pass (every record may
-	// materialize a counter — the allocator-bound regime) with per-key
-	// heap allocation (WithSlabAllocator(false)) vs the default per-stripe
-	// slab carving. Digests of the full per-key counter state prove the
-	// allocator changes layout, not bits.
-	var coldRates [2]float64
-	var digests [2]uint64
-	var lens [2]int
-	for i, opts := range [][]sbitmap.StoreOption{
-		{sbitmap.WithSlabAllocator(false)},
-		nil, // default: slab on
-	} {
-		runtime.GC()
-		st, err := sbitmap.NewStore[uint64](spec, opts...)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		keyedPass(records, spreads, "scattered", func(keys, items []uint64) {
-			st.AddBatch64(keys, items)
-		})
-		coldRates[i] = float64(records.Records()) / time.Since(start).Seconds()
-		if digests[i], err = keyedStateDigest(st); err != nil {
-			return err
-		}
-		lens[i] = st.Len()
-	}
-	report.Alloc.HeapColdPerSec = coldRates[0]
-	report.Alloc.SlabColdPerSec = coldRates[1]
-	report.Alloc.Speedup = coldRates[1] / coldRates[0]
-	report.Alloc.BitIdentical = lens[0] == lens[1] && digests[0] == digests[1]
-	if !report.Alloc.BitIdentical {
-		return fmt.Errorf("keyed: slab-allocated store diverged from heap-allocated store (%d/%d keys)", lens[1], lens[0])
-	}
-	runtime.GC()
 
 	fmt.Printf("keyed store ingest, %d keys, %d records, spec %s, batch=%d\n\n",
 		records.Keys(), records.Records(), spec, keyedBatch)
@@ -263,9 +189,6 @@ func runKeyed(jsonPath string, seed uint64) error {
 	fmt.Printf("\nstore: %d keys, %d sketch bits, %.1f B/key resident, mean |rel err| %.1f%% (%d-key sample)\n",
 		report.Store.Keys, report.Store.SizeBits, report.Store.BytesPerKey,
 		100*report.Store.MeanAbsRelErr, sample)
-
-	fmt.Printf("cold-path allocator (scattered cold, batch): heap %.3e/s, slab %.3e/s (%.2fx), state bit-identical\n",
-		coldRates[0], coldRates[1], report.Alloc.Speedup)
 
 	if jsonPath != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")

@@ -1,6 +1,9 @@
 package sbitmap
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -137,4 +140,43 @@ func TestFootprintStableUnderIngest(t *testing.T) {
 			t.Errorf("%s: footprint moved %d → %d during ingest of a fixed-size sketch", kind, settled, got)
 		}
 	}
+}
+
+// TestStoreFootprintMatchesHeap: Store.Footprint is capacity accounting
+// of everything the store holds, not an estimate — for a 100k-key
+// S-bitmap store it lands within 10% of the live-heap growth the store
+// causes.
+func TestStoreFootprintMatchesHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state inflates the heap")
+	}
+	const nKeys = 100_000
+	keys := make([]string, nKeys)
+	items := make([]uint64, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%016x", i*0x9e3779b9)
+		items[i] = uint64(i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := NewStore[string](MustSpec("sbitmap:n=1e5,eps=0.05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nKeys; i += 8192 {
+		s.AddBatch64(keys[i:min(i+8192, nKeys)], items[i:min(i+8192, nKeys)])
+	}
+	runtime.GC()
+	runtime.GC() // the second cycle drops the batch scratch the pool held
+	runtime.ReadMemStats(&after)
+	grew := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	fp := float64(s.Footprint())
+	if math.Abs(fp-grew) > 0.1*grew {
+		t.Errorf("Footprint %.0f B, heap grew %.0f B (%.1f%% apart, want ≤ 10%%)", fp, grew, 100*math.Abs(fp-grew)/grew)
+	}
+	t.Logf("%d keys: Footprint %.0f B (%.0f B/key), heap growth %.0f B", nKeys, fp, fp/nKeys, grew)
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(keys) // live at both readings, like the store's own inputs
+	runtime.KeepAlive(items)
 }

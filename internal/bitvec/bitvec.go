@@ -32,21 +32,6 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Make returns a vector of n bits over caller-supplied backing words, for
-// slab allocators that carve many identically sized vectors out of one
-// array. words must hold exactly (n+63)/64 all-zero words; the vector owns
-// them afterwards. The capacity is clipped to the length so the vector can
-// never write (or account, via Footprint) beyond its slab slot.
-func Make(words []uint64, n int) Vector {
-	if n < 0 {
-		panic("bitvec: negative length")
-	}
-	if len(words) != (n+63)/64 {
-		panic(fmt.Sprintf("bitvec: Make with %d words for %d bits (want %d)", len(words), n, (n+63)/64))
-	}
-	return Vector{words: words[:len(words):len(words)], n: n}
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
@@ -221,13 +206,23 @@ const marshalMagic = uint32(0xb17c0de1)
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (v *Vector) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 12+8*len(v.words))
+	return AppendBinary(make([]byte, 0, BinarySize(v.n)), v.words, v.n), nil
+}
+
+// BinarySize returns the length of an n-bit vector's MarshalBinary
+// encoding.
+func BinarySize(n int) int { return 12 + 8*((n+63)/64) }
+
+// AppendBinary appends the MarshalBinary encoding of the n-bit vector
+// whose backing words are words — for callers that keep bitmaps in their
+// own slabs rather than in Vectors.
+func AppendBinary(buf []byte, words []uint64, n int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.n))
-	for _, w := range v.words {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	for _, w := range words[:(n+63)/64] {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	return buf, nil
+	return buf
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -235,31 +230,49 @@ func (v *Vector) UnmarshalBinary(data []byte) error {
 	if len(data) < 12 {
 		return errors.New("bitvec: truncated header")
 	}
-	if binary.LittleEndian.Uint32(data) != marshalMagic {
-		return errors.New("bitvec: bad magic")
-	}
 	n := binary.LittleEndian.Uint64(data[4:])
 	if n > 1<<40 {
 		return fmt.Errorf("bitvec: implausible length %d", n)
 	}
-	nw := (int(n) + 63) / 64
-	if len(data) != 12+8*nw {
+	if nw := (n + 63) / 64; uint64(len(data)-12) != 8*nw { // before allocating
 		return fmt.Errorf("bitvec: body length %d, want %d", len(data)-12, 8*nw)
 	}
-	words := make([]uint64, nw)
-	ones := 0
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[12+8*i:])
-		ones += bits.OnesCount64(words[i])
-	}
-	// Reject set bits beyond the declared length (would corrupt Ones).
-	if rem := n & 63; rem != 0 && nw > 0 {
-		if words[nw-1]>>(rem) != 0 {
-			return errors.New("bitvec: set bits beyond declared length")
-		}
+	words := make([]uint64, (n+63)/64)
+	ones, err := DecodeWords(words, data, int(n))
+	if err != nil {
+		return err
 	}
 	v.words, v.n, v.ones = words, int(n), ones
 	return nil
+}
+
+// DecodeWords decodes a MarshalBinary encoding, which must declare
+// exactly n bits, into dst ((n+63)/64 words) and returns its population
+// count — AppendBinary's inverse, allocation-free.
+func DecodeWords(dst []uint64, data []byte, n int) (ones int, err error) {
+	if len(data) < 12 {
+		return 0, errors.New("bitvec: truncated header")
+	}
+	if binary.LittleEndian.Uint32(data) != marshalMagic {
+		return 0, errors.New("bitvec: bad magic")
+	}
+	if got := binary.LittleEndian.Uint64(data[4:]); got != uint64(n) {
+		return 0, fmt.Errorf("bitvec: length %d, want %d", got, n)
+	}
+	nw := (n + 63) / 64
+	if len(data) != 12+8*nw {
+		return 0, fmt.Errorf("bitvec: body length %d, want %d", len(data)-12, 8*nw)
+	}
+	dst = dst[:nw]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(data[12+8*i:])
+		ones += bits.OnesCount64(dst[i])
+	}
+	// Reject set bits beyond the declared length (would corrupt Ones).
+	if rem := n & 63; rem != 0 && nw > 0 && dst[nw-1]>>rem != 0 {
+		return 0, errors.New("bitvec: set bits beyond declared length")
+	}
+	return ones, nil
 }
 
 // SizeBits returns the memory footprint of the bit storage itself, in bits.

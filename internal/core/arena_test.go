@@ -2,34 +2,39 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/uhash"
 )
 
-// TestArenaSketchEquivalence: a slab-allocated sketch must be
-// bit-identical to a heap-constructed one under the same config, seed,
-// and input — across chunk boundaries and with neighbors in the same slab
-// ingesting interleaved (no cross-talk through the shared word slab).
+// TestArenaSketchEquivalence: sketches whose state lives side by side in
+// one shared slab, driven through a shared Shape, must be bit-identical
+// to heap-constructed ones under the same config, seed, and input — with
+// neighbors in the slab ingesting interleaved (no cross-talk through the
+// shared words), through the per-item, borrowed-scratch batch and View
+// paths alike.
 func TestArenaSketchEquivalence(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nSketches = 40 // crosses the 4, 8, 16, ... chunk growths
-	arena := NewSketchArena(cfg, 7)
-	slabbed := make([]*Sketch, nSketches)
+	const nSketches = 40
+	sh := NewShape(cfg, 7)
+	stride := sh.StateWords()
+	slab := make([]uint64, nSketches*stride)
+	state := func(i int) []uint64 { return slab[i*stride : (i+1)*stride] }
 	heaped := make([]*Sketch, nSketches)
-	for i := range slabbed {
-		slabbed[i] = arena.New()
+	for i := range heaped {
+		sh.Init(state(i))
 		heaped[i] = NewSketch(cfg, 7)
 	}
 	// Interleaved ingest: round-robin over all sketches so slab neighbors
 	// mutate concurrently-in-time (any shared-state bug would cross-talk).
 	for round := 0; round < 300; round++ {
-		for i := range slabbed {
+		for i := range heaped {
 			item := uint64(round*31+i*7) % 900 // duplicates included
-			a := slabbed[i].AddUint64(item)
+			a := sh.AddUint64(state(i), item)
 			b := heaped[i].AddUint64(item)
 			if a != b {
 				t.Fatalf("sketch %d round %d: slab changed=%v heap changed=%v", i, round, a, b)
@@ -37,16 +42,17 @@ func TestArenaSketchEquivalence(t *testing.T) {
 		}
 	}
 	var scr uhash.Scratch
-	for i := range slabbed {
+	for i := range heaped {
 		// Tail batch through the borrowed-scratch path vs the native one.
 		batch := []uint64{1, 2, 3, uint64(i), uint64(i), 1 << 40}
-		if a, b := slabbed[i].AddBatch64Scratch(&scr, batch), heaped[i].AddBatch64(batch); a != b {
+		if a, b := sh.AddBatch64(&scr, state(i), batch), heaped[i].AddBatch64(batch); a != b {
 			t.Fatalf("sketch %d: batch changed %d (slab+scratch) vs %d (heap)", i, a, b)
 		}
-		if slabbed[i].Estimate() != heaped[i].Estimate() {
+		view := sh.View(state(i))
+		if view.Estimate() != heaped[i].Estimate() || sh.Estimate(state(i)) != heaped[i].Estimate() {
 			t.Fatalf("sketch %d: estimates diverged", i)
 		}
-		sb, err := slabbed[i].MarshalBinary()
+		sb, err := view.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,51 +63,75 @@ func TestArenaSketchEquivalence(t *testing.T) {
 		if !bytes.Equal(sb, hb) {
 			t.Fatalf("sketch %d: serialized state diverged", i)
 		}
+		// Decode into a slot restores the same state; Clone detaches it.
+		back := make([]uint64, stride)
+		if err := sh.Decode(back, hb); err != nil {
+			t.Fatal(err)
+		}
+		if cb, _ := sh.Clone(back).MarshalBinary(); !bytes.Equal(cb, hb) {
+			t.Fatalf("sketch %d: decoded state diverged", i)
+		}
 	}
 }
 
 // TestArenaOptions: resolution and hash-family options must reach the
-// slabbed sketches exactly as they reach NewSketch.
+// shape's slab sketches exactly as they reach NewSketch, and decoding
+// into a shape must refuse a sketch of other dimensions or resolution.
 func TestArenaOptions(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := NewSketchArena(cfg, 0,
-		WithResolution(30), WithHasher(uhash.NewTabulation(9)))
-	a := arena.New()
+	sh := NewShape(cfg, 0, WithResolution(30), WithHasher(uhash.NewTabulation(9)))
+	st := make([]uint64, sh.StateWords())
+	sh.Init(st)
 	b := NewSketch(cfg, 0, WithResolution(30), WithHasher(uhash.NewTabulation(9)))
 	for i := uint64(0); i < 5000; i++ {
-		if ca, cb := a.AddUint64(i%1200), b.AddUint64(i%1200); ca != cb {
+		if ca, cb := sh.AddUint64(st, i%1200), b.AddUint64(i%1200); ca != cb {
 			t.Fatalf("item %d: slab changed=%v heap changed=%v", i, ca, cb)
 		}
 	}
-	if a.Estimate() != b.Estimate() {
-		t.Fatalf("estimates diverged: %g vs %g", a.Estimate(), b.Estimate())
+	if sh.Estimate(st) != b.Estimate() {
+		t.Fatalf("estimates diverged: %g vs %g", sh.Estimate(st), b.Estimate())
+	}
+	other, err := NewConfigNE(1e4, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sk := range map[string]*Sketch{
+		"dimensions": NewSketch(other, 0),
+		"resolution": NewSketch(cfg, 0),
+	} {
+		blob, _ := sk.MarshalBinary()
+		dst := make([]uint64, max(sh.StateWords(), sk.sh.StateWords()))
+		if err := sh.Decode(dst, blob); !errors.Is(err, ErrShapeMismatch) {
+			t.Errorf("%s mismatch: Decode err = %v, want ErrShapeMismatch", name, err)
+		}
 	}
 }
 
-// TestArenaAllocAmortized: steady-state materialization out of a full
-// chunk is allocation-free; the three slabs are paid once per chunk.
+// TestArenaAllocAmortized: a slab sketch needs no objects of its own —
+// initializing, ingesting, estimating and viewing its state allocate
+// nothing.
 func TestArenaAllocAmortized(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := NewSketchArena(cfg, 1)
-	// Burn through growth chunks until the max-size chunk is current.
-	for i := 0; i < arenaChunkMin*2+8; i++ {
-		arena.New()
+	sh := NewShape(cfg, 1)
+	st := make([]uint64, sh.StateWords())
+	var scr uhash.Scratch
+	items := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	sh.AddBatch64(&scr, st, items) // warm the scratch
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		sh.Init(st)
+		sh.AddUint64(st, 42)
+		sh.AddBatch64(&scr, st, items)
+		v := sh.View(st)
+		sink += v.Estimate() + sh.Estimate(st)
+	}); allocs != 0 {
+		t.Errorf("slab sketch lifecycle: %.2f allocs/op, want 0", allocs)
 	}
-	for arena.chunk < arenaChunkMax {
-		for i := 0; i < len(arena.sketches)+1; i++ {
-			arena.New()
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { arena.New() }); allocs > 3.0/float64(arenaChunkMax)*100 {
-		// ≤ 3 slab allocations amortized over a 256-slot chunk; the run
-		// count (100) keeps the occasional chunk boundary visible but
-		// bounded.
-		t.Errorf("arena.New: %.2f allocs/op, want amortized ~3/%d", allocs, arenaChunkMax)
-	}
+	_ = sink
 }

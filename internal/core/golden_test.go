@@ -142,11 +142,11 @@ func TestThresholdScheduleMatchesSeedTable(t *testing.T) {
 			s := NewSketch(cfg, 1, WithResolution(d))
 			for l := 0; l < cfg.M(); l++ {
 				want := seedRateThreshold(p[l], d)
-				if got := s.thresholdAt(l); got != want {
+				if got := s.sh.thresholdAt(l); got != want {
 					t.Fatalf("%s d=%d: thresholdAt(%d) = %#x, seed table %#x", name, d, l, got, want)
 				}
 			}
-			if got := s.thresholdAt(cfg.M()); got != 0 {
+			if got := s.sh.thresholdAt(cfg.M()); got != 0 {
 				t.Fatalf("%s d=%d: full-bitmap threshold = %#x, want 0", name, d, got)
 			}
 		}

@@ -19,30 +19,17 @@ import (
 // occupied bucket is skipped outright, so processing duplicates costs one
 // hash and one bit probe.
 //
+// A Sketch is a Shape (configuration, hasher, resolution — shareable by
+// many sketches) plus one flat state slice laid out as the Shape
+// describes; a keyed store keeps many sketches' state in one slab and
+// hands out Sketch views over it (see Shape.View).
+//
 // Sketch is not safe for concurrent use; wrap it in a mutex or shard by
 // stream if needed (the experiments shard).
 type Sketch struct {
-	cfg *Config
-	h   uhash.Hasher
-	v   *bitvec.Vector
-	l   int // number of ones, the paper's L
-
-	// cur is the 64-bit scaled acceptance threshold for the CURRENT fill
-	// level: an item is sampled at level L iff u < cur, where u is the
-	// 64-bit sampling word. With dBits < 64, the threshold is quantized to
-	// the top dBits bits, reproducing the paper's finite-resolution
-	// "u·2^−d < p" test (d = 30 in the paper's implementation sketch).
-	//
-	// Because L only ever moves forward one step at a time, this single
-	// register replaces the per-level threshold table: cur is advanced via
-	// the closed-form schedule on each 0→1 transition — at most m
-	// recomputations (one exp each) over the sketch's whole lifetime, so
-	// the auxiliary state stays O(1) and the hot path compares against a
-	// register instead of loading from an O(m) table.
-	cur   uint64
-	dBits uint
-
-	scr uhash.Scratch // reusable batch hash buffers (not serialized)
+	sh  *Shape
+	st  []uint64       // [threshold, L, bitmap words…]; see Shape
+	scr *uhash.Scratch // lazily allocated batch hash buffers (not serialized)
 }
 
 // Option configures optional Sketch behavior.
@@ -70,6 +57,50 @@ func WithResolution(d uint) Option {
 // NewSketch returns an empty S-bitmap under cfg. The seed determines the
 // hash function; replicated experiments use distinct seeds.
 func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
+	sh := NewShape(cfg, seed, opts...)
+	st := make([]uint64, sh.StateWords())
+	sh.Init(st)
+	return &Sketch{sh: sh, st: st}
+}
+
+// Shape is everything sketches built from one (Config, hasher,
+// resolution) triple share. A sketch's mutable state is a single flat
+// word slice of StateWords() words:
+//
+//	[0]  the acceptance threshold at the current fill level (see thresholdAt)
+//	[1]  L, the number of set buckets
+//	[2:] the bitmap, 64 buckets per word
+//
+// so a keyed store can keep millions of tiny sketches in slot-ordered
+// slabs — one cache line holds a sketch's threshold, fill level and first
+// bitmap words — run Algorithm 2 on a slot through the Shape's methods
+// with no per-sketch objects, and hand out Sketch views (View) over the
+// same words. Hashers are read-only after construction (asserted by the
+// uhash tests), so one Shape may serve any number of sketches.
+type Shape struct {
+	cfg   *Config
+	h     uhash.Hasher
+	dBits uint
+}
+
+// State word layout.
+const (
+	stateThreshold = 0
+	stateL         = 1
+	stateHeader    = 2
+)
+
+// sketchHeader is the serialized sketch's fixed header: magic, m, N, C,
+// L, d and the bitmap blob length.
+const sketchHeader = 45
+
+// ErrShapeMismatch reports serialized sketch state whose dimensions
+// (m, N, C) or sampling resolution d differ from the decoding Shape's.
+var ErrShapeMismatch = errors.New("core: sketch dimensions differ from the shape")
+
+// NewShape returns the shape NewSketch(cfg, seed, opts...) builds its
+// sketch on.
+func NewShape(cfg *Config, seed uint64, opts ...Option) *Shape {
 	o := sketchOptions{dBits: 64}
 	for _, opt := range opts {
 		opt(&o)
@@ -80,24 +111,196 @@ func NewSketch(cfg *Config, seed uint64, opts ...Option) *Sketch {
 	if o.dBits < 1 || o.dBits > 64 {
 		panic(fmt.Sprintf("core: sampling resolution d = %d outside [1, 64]", o.dBits))
 	}
-	s := &Sketch{
-		cfg:   cfg,
-		h:     o.hasher,
-		v:     bitvec.New(cfg.m),
-		dBits: o.dBits,
+	return &Shape{cfg: cfg, h: o.hasher, dBits: o.dBits}
+}
+
+// Config returns the shape's configuration.
+func (sh *Shape) Config() *Config { return sh.cfg }
+
+// StateWords returns the length of one sketch's state slice.
+func (sh *Shape) StateWords() int { return stateHeader + (sh.cfg.m+63)/64 }
+
+// Init clears st to the empty sketch's state.
+func (sh *Shape) Init(st []uint64) {
+	clear(st)
+	st[stateThreshold] = sh.thresholdAt(0)
+}
+
+// View returns a sketch over st, which must hold StateWords() words of
+// this shape's state; the view and the caller share the words.
+func (sh *Shape) View(st []uint64) Sketch { return Sketch{sh: sh, st: st[:len(st):len(st)]} }
+
+// Clone returns a standalone sketch holding a copy of st.
+func (sh *Shape) Clone(st []uint64) *Sketch {
+	return &Sketch{sh: sh, st: append([]uint64(nil), st...)}
+}
+
+// Add offers an item to the sketch whose state is st.
+func (sh *Shape) Add(st []uint64, item []byte) bool {
+	hi, lo := sh.h.Sum128(item)
+	return sh.insert(st, hi, lo)
+}
+
+// AddUint64 offers a 64-bit item to the sketch whose state is st.
+func (sh *Shape) AddUint64(st []uint64, item uint64) bool {
+	hi, lo := sh.h.Sum128Uint64(item)
+	return sh.insert(st, hi, lo)
+}
+
+// AddString offers a string item to the sketch whose state is st.
+func (sh *Shape) AddString(st []uint64, item string) bool {
+	hi, lo := sh.h.Sum128String(item)
+	return sh.insert(st, hi, lo)
+}
+
+// AddBatch64 is Sketch.AddBatch64Scratch on the sketch whose state is st.
+func (sh *Shape) AddBatch64(scr *uhash.Scratch, st []uint64, items []uint64) int {
+	return uhash.Batch64(sh.h, scr, items, func(hi, lo []uint64) int { return sh.insertBatch(st, hi, lo) })
+}
+
+// AddBatchString is Sketch.AddBatchStringScratch on the sketch whose state
+// is st.
+func (sh *Shape) AddBatchString(scr *uhash.Scratch, st []uint64, items []string) int {
+	return uhash.BatchString(sh.h, scr, items, func(hi, lo []uint64) int { return sh.insertBatch(st, hi, lo) })
+}
+
+// Hasher returns the shape's hash function; Insert takes its output.
+func (sh *Shape) Hasher() uhash.Hasher { return sh.h }
+
+// Insert offers an item hashed by Hasher to (hi, lo) to the sketch whose
+// state is st; AddUint64(st, x) is Insert(st, Hasher().Sum128Uint64(x)).
+func (sh *Shape) Insert(st []uint64, hi, lo uint64) bool { return sh.insert(st, hi, lo) }
+
+// ProbeWord returns the index, within a sketch's state, of the bitmap
+// word Insert probes for an item whose high hash word is hi.
+func (sh *Shape) ProbeWord(hi uint64) int {
+	j, _ := bits.Mul64(hi, uint64(sh.cfg.m))
+	return stateHeader + int(j>>6)
+}
+
+// insert implements lines 3–9 of Algorithm 2 given the two hash words.
+func (sh *Shape) insert(st []uint64, bucketWord, sampleWord uint64) bool {
+	// Multiply-shift bucket selection: j = ⌊bucketWord · m / 2^64⌋ is
+	// uniform on [0, m) and works for any m, not only powers of two.
+	j, _ := bits.Mul64(bucketWord, uint64(sh.cfg.m))
+	w := &st[stateHeader+j>>6]
+	mask := uint64(1) << (j & 63)
+	if *w&mask != 0 {
+		return false // case 1 of Figure 1: occupied bucket, skip
 	}
-	s.cur = s.thresholdAt(0)
-	return s
+	if sampleWord >= st[stateThreshold] {
+		// Not sampled at rate p_{L+1}. A full bitmap (L = m, which cannot
+		// happen before kMax in practice) parks the threshold at 0, so this
+		// branch also rejects everything once no bucket is left.
+		return false
+	}
+	*w |= mask
+	st[stateL]++
+	st[stateThreshold] = sh.thresholdAt(int(st[stateL]))
+	return true
+}
+
+// insertBatch replays insert over a chunk of hashed items, with the fill
+// level and threshold in locals for the whole chunk (the threshold is
+// recomputed only on 0→1 transitions: at most m recomputations ever).
+func (sh *Shape) insertBatch(st []uint64, hi, lo []uint64) int {
+	lo = lo[:len(hi)] // one bounds proof for the whole chunk
+	mm := uint64(sh.cfg.m)
+	words := st[stateHeader:]
+	cur := st[stateThreshold]
+	l := int(st[stateL])
+	changed := 0
+	for i, h := range hi {
+		j, _ := bits.Mul64(h, mm)
+		w := &words[j>>6]
+		mask := uint64(1) << (j & 63)
+		if *w&mask != 0 || lo[i] >= cur {
+			continue
+		}
+		*w |= mask
+		l++
+		changed++
+		cur = sh.thresholdAt(l)
+	}
+	st[stateL] = uint64(l)
+	st[stateThreshold] = cur
+	return changed
+}
+
+// b returns the truncated output B = min(L, k*) of Equation (8).
+func (sh *Shape) b(st []uint64) int { return min(int(st[stateL]), sh.cfg.kMax) }
+
+// Estimate returns the estimate t_B of the sketch whose state is st.
+func (sh *Shape) Estimate(st []uint64) float64 { return sh.cfg.sched.estimate(sh.b(st)) }
+
+// BinarySize returns the length of a serialized sketch of this shape.
+func (sh *Shape) BinarySize() int { return sketchHeader + bitvec.BinarySize(sh.cfg.m) }
+
+// AppendBinary appends the serialization of the sketch whose state is st
+// (the format of Sketch.MarshalBinary) to buf.
+func (sh *Shape) AppendBinary(buf []byte, st []uint64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.cfg.m))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sh.cfg.n))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sh.cfg.c))
+	buf = binary.LittleEndian.AppendUint64(buf, st[stateL])
+	buf = append(buf, byte(sh.dBits))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(bitvec.BinarySize(sh.cfg.m)))
+	return bitvec.AppendBinary(buf, st[stateHeader:], sh.cfg.m)
+}
+
+// Decode restores a serialized sketch (Sketch.MarshalBinary's format)
+// into st, which must hold StateWords() words. The serialized (m, N, C, d)
+// must equal the shape's (ErrShapeMismatch otherwise) and the bitmap must
+// agree with the recorded fill level. st is left unspecified on error.
+func (sh *Shape) Decode(st []uint64, data []byte) error {
+	if len(data) < sketchHeader {
+		return errors.New("core: truncated sketch header")
+	}
+	if binary.LittleEndian.Uint32(data) != sketchMagic {
+		return errors.New("core: bad sketch magic")
+	}
+	m := binary.LittleEndian.Uint64(data[4:])
+	n := binary.LittleEndian.Uint64(data[12:])
+	c := binary.LittleEndian.Uint64(data[20:])
+	if m != uint64(sh.cfg.m) || n != math.Float64bits(sh.cfg.n) || c != math.Float64bits(sh.cfg.c) || uint(data[36]) != sh.dBits {
+		return fmt.Errorf("%w: serialized m=%d N=%g C=%g d=%d, shape m=%d N=%g C=%g d=%d", ErrShapeMismatch,
+			m, math.Float64frombits(n), math.Float64frombits(c), data[36], sh.cfg.m, sh.cfg.n, sh.cfg.c, sh.dBits)
+	}
+	l := binary.LittleEndian.Uint64(data[28:])
+	if vlen := binary.LittleEndian.Uint64(data[37:]); vlen != uint64(len(data)-sketchHeader) {
+		return fmt.Errorf("core: sketch body length %d, want %d", len(data)-sketchHeader, vlen)
+	}
+	ones, err := bitvec.DecodeWords(st[stateHeader:], data[sketchHeader:], sh.cfg.m)
+	if err != nil {
+		return err
+	}
+	if uint64(ones) != l {
+		return fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", ones, l)
+	}
+	st[stateL] = l
+	st[stateThreshold] = sh.thresholdAt(int(l))
+	return nil
 }
 
 // thresholdAt returns the acceptance threshold in force at fill level l
 // (i.e. for rate p_{l+1}), evaluating the schedule on demand. A full
 // bitmap accepts nothing.
-func (s *Sketch) thresholdAt(l int) uint64 {
-	if l >= s.cfg.m {
+//
+// The threshold is the 64-bit scaled acceptance bound for the fill level:
+// an item is sampled at level L iff u < threshold, where u is the 64-bit
+// sampling word. With dBits < 64 it is quantized to the top dBits bits,
+// reproducing the paper's finite-resolution "u·2^−d < p" test (d = 30 in
+// the paper's implementation sketch). Because L only ever moves forward
+// one step at a time, a single state word replaces the per-level
+// threshold table: it is advanced via the closed-form schedule on each
+// 0→1 transition — at most m recomputations (one exp each) over the
+// sketch's whole lifetime.
+func (sh *Shape) thresholdAt(l int) uint64 {
+	if l >= sh.cfg.m {
 		return 0
 	}
-	return rateThreshold(s.cfg.sched.rate(l+1), s.dBits)
+	return rateThreshold(sh.cfg.sched.rate(l+1), sh.dBits)
 }
 
 // rateThreshold converts a sampling rate p ∈ (0, 1] to the 64-bit threshold
@@ -126,42 +329,31 @@ func rateThreshold(p float64, d uint) uint64 {
 }
 
 // Config returns the sketch's immutable configuration.
-func (s *Sketch) Config() *Config { return s.cfg }
+func (s *Sketch) Config() *Config { return s.sh.cfg }
 
 // Add offers an item to the sketch and reports whether the sketch state
 // changed (a bucket transitioned 0→1).
-func (s *Sketch) Add(item []byte) bool {
-	hi, lo := s.h.Sum128(item)
-	return s.insert(hi, lo)
-}
+func (s *Sketch) Add(item []byte) bool { return s.sh.Add(s.st, item) }
 
 // AddUint64 offers a 64-bit item; it is equivalent to Add of the item's
 // 8-byte little-endian encoding but allocation-free.
-func (s *Sketch) AddUint64(item uint64) bool {
-	hi, lo := s.h.Sum128Uint64(item)
-	return s.insert(hi, lo)
-}
+func (s *Sketch) AddUint64(item uint64) bool { return s.sh.AddUint64(s.st, item) }
 
 // AddString offers a string item; it hashes identically to Add of the
 // string's bytes but avoids the []byte conversion.
-func (s *Sketch) AddString(item string) bool {
-	hi, lo := s.h.Sum128String(item)
-	return s.insert(hi, lo)
-}
+func (s *Sketch) AddString(item string) bool { return s.sh.AddString(s.st, item) }
 
 // AddBatch64 offers a slice of 64-bit items and returns how many changed
 // the sketch state. It is state-equivalent to calling AddUint64 on each
 // item in order, but hashes in chunks (one dispatch per uhash.BatchSize
 // items instead of one per item) and runs the insert loop with the fill
-// level and threshold table in locals.
-func (s *Sketch) AddBatch64(items []uint64) int {
-	return uhash.Batch64(s.h, &s.scr, items, s.insertBatch)
-}
+// level and threshold in locals.
+func (s *Sketch) AddBatch64(items []uint64) int { return s.AddBatch64Scratch(s.scratch(), items) }
 
 // AddBatchString is AddBatch64 for string items; each hashes identically
 // to AddString of the same item.
 func (s *Sketch) AddBatchString(items []string) int {
-	return uhash.BatchString(s.h, &s.scr, items, s.insertBatch)
+	return s.AddBatchStringScratch(s.scratch(), items)
 }
 
 // AddBatch64Scratch is AddBatch64 hashing through caller-owned scratch
@@ -170,109 +362,60 @@ func (s *Sketch) AddBatchString(items []string) int {
 // so the ~4 KiB of batch buffers are paid per stripe, not per key. The
 // sketch state after the call is bit-identical to AddBatch64's.
 func (s *Sketch) AddBatch64Scratch(scr *uhash.Scratch, items []uint64) int {
-	return uhash.Batch64(s.h, scr, items, s.insertBatch)
+	return s.sh.AddBatch64(scr, s.st, items)
 }
 
 // AddBatchStringScratch is AddBatch64Scratch for string items.
 func (s *Sketch) AddBatchStringScratch(scr *uhash.Scratch, items []string) int {
-	return uhash.BatchString(s.h, scr, items, s.insertBatch)
+	return s.sh.AddBatchString(scr, s.st, items)
 }
 
-// insertBatch replays insert over a chunk of hashed items. Bucket indexes
-// come from a multiply-shift onto [0, m) = [0, Len()), which proves the
-// unchecked bit probes in range for the whole chunk. The acceptance
-// threshold lives in a local for the whole chunk, recomputed only on 0→1
-// transitions (amortized to noise: at most m recomputations ever).
-func (s *Sketch) insertBatch(hi, lo []uint64) int {
-	lo = lo[:len(hi)] // one bounds proof for the whole chunk
-	m := s.cfg.m
-	mm := uint64(m)
-	cur := s.cur
-	v := s.v
-	l := s.l
-	changed := 0
-	for i, h := range hi {
-		j, _ := bits.Mul64(h, mm)
-		if v.GetUnchecked(int(j)) {
-			continue
-		}
-		if lo[i] >= cur {
-			continue
-		}
-		v.SetUnchecked(int(j))
-		l++
-		changed++
-		cur = s.thresholdAt(l)
+func (s *Sketch) scratch() *uhash.Scratch {
+	if s.scr == nil {
+		s.scr = new(uhash.Scratch)
 	}
-	s.l = l
-	s.cur = cur
-	return changed
-}
-
-// insert implements lines 3–9 of Algorithm 2 given the two hash words.
-func (s *Sketch) insert(bucketWord, sampleWord uint64) bool {
-	// Multiply-shift bucket selection: j = ⌊bucketWord · m / 2^64⌋ is
-	// uniform on [0, m) and works for any m, not only powers of two.
-	j, _ := bits.Mul64(bucketWord, uint64(s.cfg.m))
-	if s.v.Get(int(j)) {
-		return false // case 1 of Figure 1: occupied bucket, skip
-	}
-	if sampleWord >= s.cur {
-		// Not sampled at rate p_{L+1}. A full bitmap (L = m, which cannot
-		// happen before kMax in practice) parks the threshold at 0, so this
-		// branch also rejects everything once no bucket is left.
-		return false
-	}
-	s.v.Set(int(j))
-	s.l++
-	s.cur = s.thresholdAt(s.l)
-	return true
+	return s.scr
 }
 
 // L returns the current number of 1-bits (the paper's L).
-func (s *Sketch) L() int { return s.l }
+func (s *Sketch) L() int { return int(s.st[stateL]) }
 
 // B returns the truncated output B = min(L, k*) of Equation (8).
-func (s *Sketch) B() int {
-	if s.l > s.cfg.kMax {
-		return s.cfg.kMax
-	}
-	return s.l
-}
+func (s *Sketch) B() int { return s.sh.b(s.st) }
 
 // Estimate returns the cardinality estimate n̂ = t_B (Equation 2),
 // evaluated in closed form: t_B = C/2·(r^{−B} − 1).
-func (s *Sketch) Estimate() float64 { return s.cfg.sched.estimate(s.B()) }
+func (s *Sketch) Estimate() float64 { return s.sh.Estimate(s.st) }
 
 // Saturated reports whether the sketch has reached its truncation point;
 // estimates at or beyond N are pinned to t_{k*} ≈ N.
-func (s *Sketch) Saturated() bool { return s.l >= s.cfg.kMax }
+func (s *Sketch) Saturated() bool { return s.L() >= s.sh.cfg.kMax }
 
 // FillRatio returns L/m, the fraction of buckets set.
-func (s *Sketch) FillRatio() float64 { return float64(s.l) / float64(s.cfg.m) }
+func (s *Sketch) FillRatio() float64 { return float64(s.L()) / float64(s.sh.cfg.m) }
 
 // SizeBits returns the summary-statistic memory footprint in bits, the
 // quantity compared across algorithms in Section 6.2 (hash seeds excluded,
 // as in the paper).
-func (s *Sketch) SizeBits() int { return s.cfg.m }
+func (s *Sketch) SizeBits() int { return s.sh.cfg.m }
 
 // Footprint returns the sketch's resident process memory in bytes: the
-// struct itself, its share of the Config (including any schedule tables),
-// the bitmap words, and the lazily allocated batch-hash scratch. For
-// Theorem-2 configs this is m/8 plus a small constant — the paper's
-// Table 2 accounting finally holds of the process, not just the bitmap.
-// (A Config may be shared across sketches, in which case its bytes are
-// over-counted; they are a small constant on the closed-form path.)
+// struct itself, its Shape and share of the Config (including any
+// schedule tables), the state words, and the lazily allocated batch-hash
+// scratch. For Theorem-2 configs this is m/8 plus a small constant — the
+// paper's Table 2 accounting finally holds of the process, not just the
+// bitmap. (A Shape may be shared across sketches, in which case its bytes
+// are over-counted; they are a small constant on the closed-form path.)
 func (s *Sketch) Footprint() int {
-	return int(unsafe.Sizeof(*s)) + s.cfg.AuxBytes() + s.v.Footprint() + s.scr.Footprint()
+	n := int(unsafe.Sizeof(*s)+unsafe.Sizeof(*s.sh)) + s.sh.cfg.AuxBytes() + 8*cap(s.st)
+	if s.scr != nil {
+		n += int(unsafe.Sizeof(*s.scr)) + s.scr.Footprint()
+	}
+	return n
 }
 
 // Reset clears the sketch for reuse under the same configuration and hash.
-func (s *Sketch) Reset() {
-	s.v.Reset()
-	s.l = 0
-	s.cur = s.thresholdAt(0)
-}
+func (s *Sketch) Reset() { s.sh.Init(s.st) }
 
 // sketchMagic guards serialized sketches against format drift.
 const sketchMagic = uint32(0x5b17ab01)
@@ -287,57 +430,42 @@ const LegacySketchMagic = sketchMagic
 // NOT serialized; the caller must construct the receiving sketch with the
 // same hasher to continue updating (estimation alone needs no hasher).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	vb, err := s.v.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 45+len(vb))
-	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.cfg.m))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.cfg.n))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.cfg.c))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.l))
-	buf = append(buf, byte(s.dBits))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vb)))
-	buf = append(buf, vb...)
-	return buf, nil
+	return s.sh.AppendBinary(make([]byte, 0, s.sh.BinarySize()), s.st), nil
 }
 
 // UnmarshalSketch reconstructs a sketch from MarshalBinary output. The
 // returned sketch can Estimate immediately; to continue adding items, pass
 // the same hasher used by the original via opts.
 func UnmarshalSketch(data []byte, opts ...Option) (*Sketch, error) {
-	if len(data) < 45 {
+	if len(data) < sketchHeader {
 		return nil, errors.New("core: truncated sketch header")
 	}
 	if binary.LittleEndian.Uint32(data) != sketchMagic {
 		return nil, errors.New("core: bad sketch magic")
 	}
-	m := int(binary.LittleEndian.Uint64(data[4:]))
+	m := binary.LittleEndian.Uint64(data[4:])
 	n := math.Float64frombits(binary.LittleEndian.Uint64(data[12:]))
 	c := math.Float64frombits(binary.LittleEndian.Uint64(data[20:]))
-	l := int(binary.LittleEndian.Uint64(data[28:]))
 	d := uint(data[36])
-	vlen := int(binary.LittleEndian.Uint64(data[37:]))
-	if len(data) != 45+vlen {
-		return nil, fmt.Errorf("core: sketch body length %d, want %d", len(data)-45, vlen)
+	if vlen := binary.LittleEndian.Uint64(data[37:]); vlen != uint64(len(data)-sketchHeader) {
+		return nil, fmt.Errorf("core: sketch body length %d, want %d", len(data)-sketchHeader, vlen)
 	}
-	cfg, err := newConfig(m, n, c)
+	// The bitmap must be as long as m says before m sizes an allocation.
+	if m > 1<<40 || bitvec.BinarySize(int(m)) != len(data)-sketchHeader {
+		return nil, fmt.Errorf("core: %d-byte bitmap does not hold m = %d bits", len(data)-sketchHeader, m)
+	}
+	cfg, err := newConfig(int(m), n, c)
 	if err != nil {
 		return nil, fmt.Errorf("core: rejected serialized parameters: %w", err)
 	}
+	if d < 1 || d > 64 {
+		return nil, fmt.Errorf("core: serialized sampling resolution d = %d outside [1, 64]", d)
+	}
 	allOpts := append([]Option{WithResolution(d)}, opts...)
-	s := NewSketch(cfg, 0, allOpts...)
-	if err := s.v.UnmarshalBinary(data[45:]); err != nil {
+	sh := NewShape(cfg, 0, allOpts...)
+	st := make([]uint64, sh.StateWords())
+	if err := sh.Decode(st, data); err != nil {
 		return nil, err
 	}
-	if s.v.Len() != m {
-		return nil, fmt.Errorf("core: bitmap length %d does not match m = %d", s.v.Len(), m)
-	}
-	if s.v.Ones() != l {
-		return nil, fmt.Errorf("core: bitmap popcount %d does not match recorded L = %d", s.v.Ones(), l)
-	}
-	s.l = l
-	s.cur = s.thresholdAt(l)
-	return s, nil
+	return &Sketch{sh: sh, st: st}, nil
 }

@@ -61,6 +61,15 @@ var (
 	// than the decoder expects (e.g. an HLL blob handed to
 	// (*LogLog).UnmarshalBinary).
 	ErrKindMismatch = errors.New("sbitmap: snapshot kind mismatch")
+	// ErrSpecMismatch reports a keyed Store snapshot entry whose counter
+	// is of another kind, or other dimensions (m, N, C, d, register
+	// count, …), than the Store's spec builds: restoring it would mix
+	// sketch shapes under one spec.
+	ErrSpecMismatch = errors.New("sbitmap: snapshot counter does not match the store's spec")
+	// ErrCorrupt reports a snapshot whose framing is intact but whose
+	// contents are not: a bitmap that disagrees with its recorded fill
+	// level, trailing bytes, a key repeated within or across snapshots.
+	ErrCorrupt = errors.New("sbitmap: corrupt snapshot")
 )
 
 // kindCodes maps each serializable kind to its envelope tag. Codes are
@@ -102,10 +111,13 @@ func kindFromCode(code byte) (Kind, bool) {
 
 // appendEnvelope frames a payload with the magic/version/kind header.
 func appendEnvelope(kind Kind, payload []byte) []byte {
-	buf := make([]byte, 0, 6+len(payload))
+	return append(appendEnvelopeHeader(make([]byte, 0, 6+len(payload)), kind), payload...)
+}
+
+// appendEnvelopeHeader appends the magic/version/kind header to buf.
+func appendEnvelopeHeader(buf []byte, kind Kind) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, envMagic)
-	buf = append(buf, envVersion, kindCodes[kind])
-	return append(buf, payload...)
+	return append(buf, envVersion, kindCodes[kind])
 }
 
 // marshalEnvelope serializes an inner sketch and frames it.
@@ -175,7 +187,7 @@ func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: %w", err)
 		}
-		return &SBitmap{sk: sk}, nil
+		return &SBitmap{sk: *sk}, nil
 	}
 	kind, payload, err := openEnvelope(data)
 	if err != nil {
@@ -187,7 +199,7 @@ func Unmarshal(data []byte, opts ...Option) (Counter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: %w", err)
 		}
-		return &SBitmap{sk: sk}, nil
+		return &SBitmap{sk: *sk}, nil
 	case KindHLL:
 		sk, err := hyperloglog.Unmarshal(payload, o.newHasher())
 		if err != nil {

@@ -1,17 +1,21 @@
 package sbitmap
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/uhash"
 )
 
@@ -30,9 +34,13 @@ import (
 //
 // Keys are strings or 64-bit integers (any type whose underlying type is
 // one of the two). Access is lock-striped: keys hash onto independently
-// locked stripes of a key→counter map, so ingestion scales across
-// goroutines, and the keyed batch methods route a whole batch with one
-// hash pass and take each touched stripe's lock once per batch.
+// locked stripes, each a flat slot table (see storeStripe), so ingestion
+// scales across goroutines, and the keyed batch methods route a whole
+// batch with one hash pass and take each touched stripe's lock once per
+// batch. For the S-bitmap kind a key costs its sketch state (m/8 bytes of
+// bitmap plus 16 of fill level and threshold), a 40-byte Counter view,
+// its key bytes, a 32-byte table cell (the table runs 3/8 to 3/4 full)
+// and 9 bytes of slot metadata: no heap object of its own.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
 // plus the OnEvict hook; unbounded otherwise (one counter per distinct
@@ -43,7 +51,6 @@ type Store[K StoreKey] struct {
 	router  *uhash.Mixer
 	limit   int  // max keys (0 = unbounded)
 	isStr   bool // K's underlying type is string (cached keyIsString)
-	slab    bool // per-stripe arenas + shared scratch (WithSlabAllocator)
 	keys    atomic.Int64
 	onEvict func(K, Counter)
 
@@ -52,13 +59,25 @@ type Store[K StoreKey] struct {
 	// a new checkpoint epoch. See MarshalStripes for the protocol.
 	gen atomic.Uint64
 
-	// newCounter is the per-key factory: Spec.New with the construction
-	// validated once in NewStore, so materialization cannot fail later.
-	newCounter func() Counter
+	// sh is the shared Shape of an unwindowed S-bitmap spec: every key's
+	// sketch state then lives in its stripe's slot slabs, stride words per
+	// slot, and ingest runs Algorithm 2 on it directly. nil for the other
+	// kinds, whose slots hold counters from newCounter.
+	sh     *core.Shape
+	stride int
 
-	// newArena builds a stripe's slab allocator; nil when the spec's kind
-	// has no arena or slab allocation is off (see WithSlabAllocator).
-	newArena func() counterArena
+	// newCounter is the per-key factory of the other kinds (Spec.New, or a
+	// sub-window ring of it), validated once in NewStore so
+	// materialization cannot fail later. mergeable reports whether the
+	// base kind implements Mergeable.
+	newCounter func() Counter
+	mergeable  bool
+
+	// specOpts carry the spec's seed and hash family into restored
+	// counters; emptyBlob is a fresh base counter's snapshot, the shape a
+	// restored counter must have (see decodeBase).
+	specOpts  []Option
+	emptyBlob []byte
 
 	// win is the sliding-window configuration of a windowed(...) spec; nil
 	// otherwise. When set, per-key counters are windowRings, wm is the
@@ -81,19 +100,75 @@ type StoreKey interface {
 	~string | ~uint64
 }
 
-// storeStripe is one lock-striped segment of the key space. Beyond the
-// lock and map it owns the stripe's cold-path slab allocator and one hash
-// scratch lent to every per-key sketch's batch path (both guarded by mu),
-// so neither per-key state nor the ~4 KiB batch buffers are allocated per
-// key.
+// storeStripe is one lock-striped segment of the key space: a flat slot
+// table. Each live key owns a slot, an index into the stripe's
+// slot-ordered storage, and an open-addressed table (linear probing, at
+// most 3/4 full) maps the key's router hash — the tag, already computed
+// to pick the stripe — to that slot, comparing the key itself only on a
+// tag match. uint64 keys and string keys of up to 16 bytes sit in the
+// table cell; string key bytes are kept in a per-stripe arena, where
+// longer keys are compared. An S-bitmap slot's sketch state and its
+// Counter view live in chunks that never move (see slotChunk), so views
+// handed out stay valid; other kinds and windowed rings keep one Counter
+// per slot. Released slots (Remove, eviction) are reused. Everything is
+// guarded by mu, including the hash scratch lent to long runs into
+// windowed S-bitmap rings.
 type storeStripe[K StoreKey] struct {
-	mu     sync.Mutex
-	m      map[K]Counter
-	arena  counterArena  // nil unless slab allocation is on
-	scr    uhash.Scratch // shared batch-hash buffers, under mu
-	modGen uint64        // generation of the last mutation, under mu
-	_      [40]byte      // pad to reduce false sharing between adjacent locks
+	mu       sync.Mutex
+	tab      []storeEntry // power-of-two length; nil while empty
+	slotKeys []uint64     // per slot: the key, or its arena reference
+	flags    []uint8      // per slot: slotLive, slotRef
+	free     []uint32     // released slots, reused first
+	hand     int          // CLOCK hand: the next eviction candidate
+	state    [][]uint64   // S-bitmap slot state chunks
+	views    [][]SBitmap  // Counter views over state, chunk-parallel
+	ctrs     []Counter    // other kinds: each slot's counter
+	arena    []byte       // string keys (offset<<32 | length), never rewritten
+	dead     int          // arena bytes of released keys
+	scr      uhash.Scratch
+	touch    uint64   // sink of ingestSlotsLocked's prefetching loads
+	modGen   uint64   // generation of the last mutation
+	_        [32]byte // keep adjacent stripes' locks off shared cache lines
 }
+
+// storeEntry is one table cell. key holds a uint64 key in key[0], a
+// string key of up to inlineKey bytes zero-padded, or a longer string
+// key's arena reference in key[0].
+type storeEntry struct {
+	tag  uint64
+	key  [2]uint64
+	klen uint32 // string key length
+	slot uint32 // slot+1; 0 marks an empty cell
+}
+
+// inlineKey is the longest string key a table cell holds inline, so
+// probing it needs no arena access.
+const inlineKey = 16
+
+// cellKey returns key as a table cell holds it, and its string length
+// (longer string keys' key is replaced by their arena reference).
+func cellKey[K StoreKey](key K, isStr bool) (k [2]uint64, n uint32) {
+	if !isStr {
+		return [2]uint64{keyWord(key)}, 0
+	}
+	ks := keyString(key)
+	switch {
+	case len(ks) == inlineKey:
+		b := unsafe.Slice(unsafe.StringData(ks), inlineKey)
+		return [2]uint64{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])}, inlineKey
+	case len(ks) < inlineKey:
+		var b [inlineKey]byte
+		copy(b[:], ks)
+		return [2]uint64{binary.LittleEndian.Uint64(b[:]), binary.LittleEndian.Uint64(b[8:])}, uint32(len(ks))
+	}
+	return k, uint32(len(ks)) // compared against the arena instead
+}
+
+// Slot flags.
+const (
+	slotLive = 1 << iota // the slot holds a key
+	slotRef              // counted since the CLOCK hand last passed (WithMaxKeys only)
+)
 
 // StoreOption configures a Store at construction.
 type StoreOption func(*storeConfig)
@@ -101,7 +176,6 @@ type StoreOption func(*storeConfig)
 type storeConfig struct {
 	stripes int
 	maxKeys int
-	noSlab  bool
 }
 
 // WithStripes sets the lock-stripe count (default 64). More stripes admit
@@ -110,25 +184,15 @@ type storeConfig struct {
 func WithStripes(n int) StoreOption { return func(c *storeConfig) { c.stripes = n } }
 
 // WithMaxKeys bounds the number of live keys: materializing a key beyond
-// the limit first evicts an arbitrary key — from the new key's own
-// stripe when it holds one, otherwise from another uncontended stripe
-// (sketch eviction is estimator-agnostic — any victim loses exactly its
-// own per-key count). Pair with OnEvict to spill evicted counters.
-// Under concurrent ingest the bound can transiently overshoot by at
-// most the stripe count. 0 (the default) means unbounded.
+// the limit first evicts one — from the new key's own stripe when it
+// holds one, otherwise from another uncontended stripe. Within a stripe
+// the victim is picked by CLOCK: a key counted since the hand last passed
+// gets a second chance (sketch eviction is otherwise estimator-agnostic —
+// any victim loses exactly its own per-key count). Pair with OnEvict to
+// spill evicted counters. Under concurrent ingest the bound can
+// transiently overshoot by at most the stripe count. 0 (the default)
+// means unbounded.
 func WithMaxKeys(n int) StoreOption { return func(c *storeConfig) { c.maxKeys = n } }
-
-// WithSlabAllocator toggles the cold-path allocator (default on): per-key
-// sketch state is carved out of per-stripe slabs (identically specced
-// sketches are identically sized) and every sketch's batch path borrows
-// one per-stripe hash scratch instead of lazily allocating ~4 KiB each.
-// Estimates are bit-identical either way; the toggle exists for
-// before/after measurement (sbench -run keyed) and as an escape hatch.
-//
-// Slabs are never reclaimed slot-wise, so the arena half is automatically
-// disabled when WithMaxKeys eviction is active (evicted counters would
-// leak their slots); the shared-scratch half stays on.
-func WithSlabAllocator(on bool) StoreOption { return func(c *storeConfig) { c.noSlab = !on } }
 
 // storeDefaultStripes is the default lock-stripe count.
 const storeDefaultStripes = 64
@@ -177,21 +241,23 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 	// The per-sub-window sketch is dimensioned by the spec minus the
 	// window modifier; for unwindowed specs base == spec.
 	base := spec.base()
-	if _, err := base.New(); err != nil {
+	probe, err := base.New()
+	if err != nil {
+		return nil, fmt.Errorf("sbitmap: store spec: %w", err)
+	}
+	specOpts, err := spec.options()
+	if err != nil {
+		return nil, err
+	}
+	emptyBlob, err := Marshal(probe)
+	if err != nil {
 		return nil, fmt.Errorf("sbitmap: store spec: %w", err)
 	}
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Store[K]{
-		spec:    spec,
-		stripes: make([]storeStripe[K], cfg.stripes),
-		router:  uhash.NewMixer(seed ^ storeRouterSalt),
-		limit:   cfg.maxKeys,
-		isStr:   keyIsString[K](),
-		slab:    !cfg.noSlab,
-	}
+	_, mergeable := probe.(Mergeable)
 	newBase := func() Counter {
 		c, err := base.New()
 		if err != nil {
@@ -201,48 +267,47 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		}
 		return c
 	}
-	s.newCounter = newBase
+	s := &Store[K]{
+		spec:       spec,
+		stripes:    make([]storeStripe[K], cfg.stripes),
+		router:     uhash.NewMixer(seed ^ storeRouterSalt),
+		limit:      cfg.maxKeys,
+		isStr:      keyIsString[K](),
+		newCounter: newBase,
+		mergeable:  mergeable,
+		specOpts:   specOpts,
+		emptyBlob:  emptyBlob,
+	}
 	s.wm.Store(wmNone)
-	if spec.Window != 0 {
-		probe := newBase()
-		_, mergeable := probe.(Mergeable)
-		s.win = &windowShared{
+	switch {
+	case spec.Window != 0:
+		win := &windowShared{
 			width:      int64(spec.Window),
 			ring:       spec.Ring,
 			mergeable:  mergeable,
 			newCounter: newBase,
 			wm:         &s.wm,
 		}
-		win := s.win
+		s.win = win
 		s.newCounter = func() Counter { return newWindowRing(win) }
-	}
-	if s.slab && s.limit == 0 && s.win == nil {
-		// Validated once here (the arena shares newSBitmap's dimensioning,
-		// already proven constructible above), so per-stripe arena
-		// construction cannot fail later. Windowed stores skip the arena:
-		// their unit of allocation is the ring, not a single fixed-size
-		// sketch (sub-window counters are allocated lazily per slot).
-		if a, err := spec.newArena(); err == nil && a != nil {
-			s.newArena = func() counterArena {
-				a, _ := spec.newArena()
-				return a
-			}
+	case spec.Kind == KindSBitmap:
+		cfg, err := spec.sbitmapConfig()
+		if err != nil {
+			return nil, err
 		}
-	}
-	for i := range s.stripes {
-		s.stripes[i].m = make(map[K]Counter)
-		if s.newArena != nil {
-			s.stripes[i].arena = s.newArena()
-		}
+		o := buildOptions(specOpts)
+		s.sh = core.NewShape(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(o.newHasher()))
+		s.stride = s.sh.StateWords()
 	}
 	return s, nil
 }
 
 // OnEvict installs the eviction hook: fn runs whenever WithMaxKeys (or a
 // future bounded-memory policy) removes a key, receiving the key and its
-// final counter — snapshot it, sum it into a coarser aggregate, or drop
-// it. The hook runs with the key's stripe locked: keep it cheap and do
-// not call back into the Store. Install before concurrent use.
+// final counter — a copy detached from the store, so the hook may keep
+// it: snapshot it, sum it into a coarser aggregate, or drop it. The hook
+// runs with the key's stripe locked: keep it cheap and do not call back
+// into the Store. Install before concurrent use.
 func (s *Store[K]) OnEvict(fn func(key K, c Counter)) { s.onEvict = fn }
 
 // Spec returns the Spec every per-key counter is built from.
@@ -264,7 +329,9 @@ func keyWord[K StoreKey](k K) uint64       { return *(*uint64)(unsafe.Pointer(&k
 func keyFromString[K StoreKey](v string) K { return *(*K)(unsafe.Pointer(&v)) }
 func keyFromWord[K StoreKey](v uint64) K   { return *(*K)(unsafe.Pointer(&v)) }
 
-// hashKey routes a key: the high word of its 128-bit router hash.
+// hashKey routes a key: the high word of its 128-bit router hash. It
+// picks the stripe (stripeIndex, high bits) and is the key's table tag
+// within it (home cell from the low bits).
 func (s *Store[K]) hashKey(key K) uint64 {
 	if s.isStr {
 		hi, _ := s.router.Sum128String(keyString(key))
@@ -280,10 +347,6 @@ func (s *Store[K]) stripeIndex(word uint64) uint64 {
 	return ((word >> 32) * uint64(len(s.stripes))) >> 32
 }
 
-func (s *Store[K]) stripeFor(key K) *storeStripe[K] {
-	return &s.stripes[s.stripeIndex(s.hashKey(key))]
-}
-
 // touchLocked stamps a stripe dirty at the current generation. Every
 // path that mutates stripe state — adds, batch ingest, merge, remove,
 // reset, and eviction (which may victimize a stripe other than the one
@@ -291,56 +354,235 @@ func (s *Store[K]) stripeFor(key K) *storeStripe[K] {
 // MarshalStripes can encode exactly the stripes touched since a cut.
 func (s *Store[K]) touchLocked(st *storeStripe[K]) { st.modGen = s.gen.Load() }
 
-// counterLocked returns key's counter, materializing (and, at the key
-// limit, evicting) under the stripe lock the caller holds. A string key
-// is cloned on materialization: the map must own its key storage, because
-// zero-copy ingest paths (the wire listener) pass keys aliasing reusable
-// frame buffers. Lookups of already-live keys never clone.
-func (s *Store[K]) counterLocked(st *storeStripe[K], key K) Counter {
-	if c, ok := st.m[key]; ok {
-		return c
+// lookup returns key's slot in st, if present.
+func (st *storeStripe[K]) lookup(tag uint64, key K, isStr bool) (slot uint32, ok bool) {
+	if st.tab == nil {
+		return 0, false
 	}
-	if s.limit > 0 && int(s.keys.Load()) >= s.limit {
-		s.evictOneLocked(st, key)
+	k, n := cellKey(key, isStr)
+	mask := len(st.tab) - 1
+	for pos := int(tag) & mask; ; pos = (pos + 1) & mask {
+		e := &st.tab[pos]
+		if e.slot == 0 {
+			return 0, false
+		}
+		if e.tag != tag || e.klen != n {
+			continue
+		}
+		if n <= inlineKey {
+			if e.key == k {
+				return e.slot - 1, true
+			}
+		} else if off := e.key[0] >> 32; string(st.arena[off:off+uint64(n)]) == keyString(key) {
+			return e.slot - 1, true
+		}
 	}
-	var c Counter
-	if st.arena != nil {
-		c = st.arena.next()
-	} else {
-		c = s.newCounter()
-	}
-	if s.isStr {
-		key = keyFromString[K](strings.Clone(keyString(key)))
-	}
-	st.m[key] = c
-	s.keys.Add(1)
-	return c
 }
 
-// evictOneLocked removes one key (≠ incoming) and fires the eviction
-// hook: first from the locked stripe, else from another stripe taken
-// with TryLock (never a blocking second lock, so eviction cannot
-// deadlock against batch ingest or a concurrent evictor). Map iteration
-// order makes the victim effectively random, which is the right neutral
-// policy for sketches: no per-key access metadata, and any victim
-// forfeits exactly its own count.
-func (s *Store[K]) evictOneLocked(st *storeStripe[K], incoming K) {
-	evictFrom := func(cand *storeStripe[K], skipIncoming bool) bool {
-		for k, c := range cand.m {
-			if skipIncoming && k == incoming {
-				continue
-			}
-			delete(cand.m, k)
-			s.touchLocked(cand)
-			s.keys.Add(-1)
-			if s.onEvict != nil {
-				s.onEvict(k, c)
-			}
-			return true
-		}
-		return false
+// cellOf returns the table position of slot's cell.
+func (st *storeStripe[K]) cellOf(tag uint64, slot uint32) int {
+	mask := len(st.tab) - 1
+	pos := int(tag) & mask
+	for st.tab[pos].slot != slot+1 {
+		pos = (pos + 1) & mask
 	}
-	if evictFrom(st, true) {
+	return pos
+}
+
+// insert files a live slot's key in the table, doubling the table past
+// 3/4 load. A string key is copied into the arena: zero-copy ingest paths
+// (the wire listener) pass keys aliasing reusable frame buffers.
+func (st *storeStripe[K]) insert(tag uint64, key K, isStr bool, slot uint32) {
+	k, n := cellKey(key, isStr)
+	ref := k[0]
+	if isStr {
+		ref = uint64(len(st.arena))<<32 | uint64(n)
+		st.arena = append(st.arena, keyString(key)...)
+		if n > inlineKey {
+			k = [2]uint64{ref}
+		}
+	}
+	st.slotKeys[slot] = ref
+	if 4*(len(st.flags)-len(st.free)) > 3*len(st.tab) {
+		old := st.tab
+		st.tab = make([]storeEntry, max(16, 2*len(old)))
+		for _, e := range old {
+			if e.slot != 0 {
+				st.place(e)
+			}
+		}
+	}
+	st.place(storeEntry{tag: tag, key: k, klen: n, slot: slot + 1})
+}
+
+// place puts e in the first empty cell of its probe sequence.
+func (st *storeStripe[K]) place(e storeEntry) {
+	mask := len(st.tab) - 1
+	pos := int(e.tag) & mask
+	for st.tab[pos].slot != 0 {
+		pos = (pos + 1) & mask
+	}
+	st.tab[pos] = e
+}
+
+// deleteAt empties the cell at pos by backward-shift deletion: later
+// cells of the probe run move up into the hole whenever the hole lies on
+// their own probe path, so lookups never need tombstones.
+func (st *storeStripe[K]) deleteAt(pos int) {
+	mask := len(st.tab) - 1
+	for next := (pos + 1) & mask; st.tab[next].slot != 0; next = (next + 1) & mask {
+		if home := int(st.tab[next].tag) & mask; (next-home)&mask >= (next-pos)&mask {
+			st.tab[pos] = st.tab[next]
+			pos = next
+		}
+	}
+	st.tab[pos] = storeEntry{}
+}
+
+// slotChunk locates a slot in the chunked slabs. Chunks hold 8, 16, 32,
+// 64 and 128 slots, then 256 each, so a small stripe does not pay for a
+// big slab up front, and a chunk never moves once allocated.
+func slotChunk(slot uint32) (chunk, i int) {
+	if slot < 248 {
+		chunk = bits.Len32(slot+8) - 4
+		return chunk, int(slot+8) - 8<<chunk
+	}
+	return 5 + int(slot-248)/256, int(slot-248) % 256
+}
+
+// stateOf returns an S-bitmap slot's sketch state.
+func (s *Store[K]) stateOf(st *storeStripe[K], slot uint32) []uint64 {
+	c, i := slotChunk(slot)
+	return st.state[c][i*s.stride : (i+1)*s.stride]
+}
+
+// counterAt returns a live slot's counter: the S-bitmap view over its
+// state, or the counter it holds.
+func (s *Store[K]) counterAt(st *storeStripe[K], slot uint32) Counter {
+	if s.sh == nil {
+		return st.ctrs[slot]
+	}
+	c, i := slotChunk(slot)
+	return &st.views[c][i]
+}
+
+// keyOf returns a live slot's key. A string key aliases the arena, whose
+// bytes are never overwritten (compaction copies to a new array).
+func (s *Store[K]) keyOf(st *storeStripe[K], slot uint32) K {
+	ref := st.slotKeys[slot]
+	if !s.isStr {
+		return keyFromWord[K](ref)
+	}
+	if uint32(ref) == 0 {
+		return keyFromString[K]("")
+	}
+	return keyFromString[K](unsafe.String(&st.arena[ref>>32], int(uint32(ref))))
+}
+
+// newSlot takes a slot for a new key: a released one when there is one,
+// else the next, growing the slabs by a chunk when it starts one. The
+// slot holds c, or a fresh counter when c is nil (S-bitmap slots: an
+// empty sketch).
+func (s *Store[K]) newSlot(st *storeStripe[K], c Counter) uint32 {
+	var slot uint32
+	if n := len(st.free); n > 0 {
+		slot, st.free = st.free[n-1], st.free[:n-1]
+	} else {
+		slot = uint32(len(st.flags))
+		st.flags = append(st.flags, 0)
+		st.slotKeys = append(st.slotKeys, 0)
+		if s.sh == nil {
+			st.ctrs = append(st.ctrs, nil)
+		} else if chunk, i := slotChunk(slot); i == 0 {
+			n := 256
+			if chunk < 5 {
+				n = 8 << chunk
+			}
+			// slices.Grow rounds capacity up to the allocation's size
+			// class, so Footprint's capacity sums are exact.
+			state := slices.Grow([]uint64(nil), n*s.stride)[:n*s.stride]
+			views := slices.Grow([]SBitmap(nil), n)[:n]
+			for j := range views {
+				views[j].sk = s.sh.View(state[j*s.stride : (j+1)*s.stride])
+			}
+			st.state = append(st.state, state)
+			st.views = append(st.views, views)
+		}
+	}
+	st.flags[slot] = slotLive
+	st.slotKeys[slot] = 0
+	switch {
+	case s.sh != nil:
+		s.sh.Init(s.stateOf(st, slot))
+	case c == nil:
+		st.ctrs[slot] = s.newCounter()
+	default:
+		st.ctrs[slot] = c
+	}
+	return slot
+}
+
+// release returns a slot to the free list, and its key bytes to the
+// arena's dead count; the arena is compacted once dead bytes dominate.
+func (s *Store[K]) release(st *storeStripe[K], slot uint32) {
+	st.flags[slot] = 0
+	if st.ctrs != nil {
+		st.ctrs[slot] = nil
+	}
+	st.free = append(st.free, slot)
+	if !s.isStr {
+		return
+	}
+	if st.dead += int(uint32(st.slotKeys[slot])); st.dead > 1024 && 2*st.dead > len(st.arena) {
+		arena := make([]byte, 0, len(st.arena)-st.dead)
+		for i := range st.tab {
+			if e := &st.tab[i]; e.slot != 0 {
+				ref := st.slotKeys[e.slot-1]
+				off, n := ref>>32, ref&math.MaxUint32
+				ref = uint64(len(arena))<<32 | n
+				arena = append(arena, st.arena[off:off+n]...)
+				if st.slotKeys[e.slot-1] = ref; n > inlineKey {
+					e.key[0] = ref
+				}
+			}
+		}
+		st.arena, st.dead = arena, 0
+	}
+}
+
+// drop removes the key in table cell pos and releases its slot.
+func (s *Store[K]) drop(st *storeStripe[K], pos int) {
+	slot := st.tab[pos].slot - 1
+	st.deleteAt(pos)
+	s.release(st, slot)
+	s.keys.Add(-1)
+	s.touchLocked(st)
+}
+
+// slotOf returns key's slot, materializing it on first sight — after
+// evicting a key when the store is at its limit. Stripe lock held.
+func (s *Store[K]) slotOf(st *storeStripe[K], tag uint64, key K) uint32 {
+	slot, ok := st.lookup(tag, key, s.isStr)
+	if !ok {
+		if s.limit > 0 && int(s.keys.Load()) >= s.limit {
+			s.evictOneLocked(st)
+		}
+		slot = s.newSlot(st, nil)
+		st.insert(tag, key, s.isStr, slot)
+		s.keys.Add(1)
+	}
+	if s.limit > 0 {
+		st.flags[slot] |= slotRef
+	}
+	return slot
+}
+
+// evictOneLocked removes one key and fires the eviction hook: first from
+// the locked stripe, else from another stripe taken with TryLock (never a
+// blocking second lock, so eviction cannot deadlock against batch ingest
+// or a concurrent evictor).
+func (s *Store[K]) evictOneLocked(st *storeStripe[K]) {
+	if s.evictFrom(st) {
 		return
 	}
 	for i := range s.stripes {
@@ -348,7 +590,7 @@ func (s *Store[K]) evictOneLocked(st *storeStripe[K], incoming K) {
 		if cand == st || !cand.mu.TryLock() {
 			continue
 		}
-		ok := evictFrom(cand, false)
+		ok := s.evictFrom(cand)
 		cand.mu.Unlock()
 		if ok {
 			return
@@ -356,6 +598,38 @@ func (s *Store[K]) evictOneLocked(st *storeStripe[K], incoming K) {
 	}
 	// Every other stripe was empty or busy; the insert proceeds and the
 	// store transiently overshoots (bounded by the stripe count).
+}
+
+// evictFrom evicts st's CLOCK victim: the hand sweeps the slots, sparing
+// — and clearing the reference bit of — any key counted since it last
+// passed, so a burst of one-off keys cycles through itself instead of
+// flushing the keys being counted. One bit per slot; two sweeps at most.
+func (s *Store[K]) evictFrom(st *storeStripe[K]) bool {
+	n := len(st.flags)
+	for range 2 * n {
+		slot := uint32(st.hand)
+		st.hand = (st.hand + 1) % n
+		if f := st.flags[slot]; f&slotRef != 0 {
+			st.flags[slot] = f &^ slotRef
+			continue
+		} else if f&slotLive == 0 {
+			continue
+		}
+		key := s.keyOf(st, slot)
+		var c Counter
+		if s.onEvict != nil {
+			c = s.counterAt(st, slot) // dropped from the store below: detached
+			if s.sh != nil {
+				c = &SBitmap{sk: *s.sh.Clone(s.stateOf(st, slot))}
+			}
+		}
+		s.drop(st, st.cellOf(s.hashKey(key), slot))
+		if s.onEvict != nil {
+			s.onEvict(key, c)
+		}
+		return true
+	}
+	return false
 }
 
 // advanceWatermark raises the watermark sub-window index to at least
@@ -402,15 +676,51 @@ func (s *Store[K]) resolveWidx(widx int64, n int) int64 {
 	return widx
 }
 
-// slotLocked resolves the counter that receives sub-window widx's
-// records for key — the key's counter itself for unwindowed stores, the
-// ring slot rotated to widx for windowed ones. Stripe lock held.
-func (s *Store[K]) slotLocked(st *storeStripe[K], key K, widx int64) Counter {
-	c := s.counterLocked(st, key)
+// slotCounter resolves the counter that receives sub-window widx's
+// records in a counter-holding slot: the slot's counter itself, or a
+// windowed store's ring rotated to widx.
+func (s *Store[K]) slotCounter(st *storeStripe[K], slot uint32, widx int64) Counter {
+	c := st.ctrs[slot]
 	if s.win != nil {
 		c = c.(*windowRing).slot(widx)
 	}
 	return c
+}
+
+// itemOps adapts the ingest paths to one item type.
+type itemOps[T any] struct {
+	method string                                      // the batch method, for panics
+	slot   func(*core.Shape, []uint64, T) bool         // one item into S-bitmap slot state
+	ctr    func(Counter, T) bool                       // one item into a counter
+	hash   func(uhash.Hasher, []T, []uint64, []uint64) // a batch of items' hashes
+	sketch func(*core.Sketch, *uhash.Scratch, []T) int // a long run into a ring's S-bitmap
+	ctrs   func(Counter, []T) int                      // a long run into another counter
+}
+
+var (
+	ops64 = &itemOps[uint64]{"AddBatch64", (*core.Shape).AddUint64, Counter.AddUint64,
+		uhash.Sum128Uint64Batch, (*core.Sketch).AddBatch64Scratch, AddBatch64}
+	opsString = &itemOps[string]{"AddBatchString", (*core.Shape).AddString, Counter.AddString,
+		uhash.Sum128StringBatch, (*core.Sketch).AddBatchStringScratch, AddBatchString}
+	opsBytes = &itemOps[[]byte]{slot: (*core.Shape).Add, ctr: Counter.Add}
+)
+
+// addOne offers one item to key's counter in sub-window widx.
+func addOne[K StoreKey, T any](s *Store[K], ops *itemOps[T], widx int64, key K, item T) bool {
+	widx = s.resolveWidx(widx, 1)
+	tag := s.hashKey(key)
+	st := &s.stripes[s.stripeIndex(tag)]
+	st.mu.Lock()
+	s.touchLocked(st)
+	slot := s.slotOf(st, tag, key)
+	var changed bool
+	if s.sh != nil {
+		changed = ops.slot(s.sh, s.stateOf(st, slot), item)
+	} else {
+		changed = ops.ctr(s.slotCounter(st, slot, widx), item)
+	}
+	st.mu.Unlock()
+	return changed
 }
 
 // Add offers item to key's counter, materializing it on first sight; it
@@ -418,13 +728,7 @@ func (s *Store[K]) slotLocked(st *storeStripe[K], key K, widx int64) Counter {
 // item lands in the watermark sub-window (use AddAt to place it in
 // time). Safe for concurrent use.
 func (s *Store[K]) Add(key K, item []byte) bool {
-	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).Add(item)
-	st.mu.Unlock()
-	return changed
+	return addOne(s, opsBytes, s.currentWidx(), key, item)
 }
 
 // AddAt is Add with an explicit record timestamp: on a windowed store
@@ -433,59 +737,29 @@ func (s *Store[K]) Add(key K, item []byte) bool {
 // carry their own clock — and a record more than ring sub-windows behind
 // the watermark folds into the watermark window (see LateRecords).
 func (s *Store[K]) AddAt(ts time.Time, key K, item []byte) bool {
-	widx := s.resolveWidx(s.tsWidx(ts), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).Add(item)
-	st.mu.Unlock()
-	return changed
+	return addOne(s, opsBytes, s.tsWidx(ts), key, item)
 }
 
 // AddUint64 offers a 64-bit item to key's counter; safe for concurrent
 // use. On a windowed store the item lands in the watermark sub-window.
 func (s *Store[K]) AddUint64(key K, item uint64) bool {
-	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddUint64(item)
-	st.mu.Unlock()
-	return changed
+	return addOne(s, ops64, s.currentWidx(), key, item)
 }
 
 // AddUint64At is AddUint64 with an explicit record timestamp; see AddAt.
 func (s *Store[K]) AddUint64At(ts time.Time, key K, item uint64) bool {
-	widx := s.resolveWidx(s.tsWidx(ts), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddUint64(item)
-	st.mu.Unlock()
-	return changed
+	return addOne(s, ops64, s.tsWidx(ts), key, item)
 }
 
 // AddString offers a string item to key's counter; safe for concurrent
 // use. On a windowed store the item lands in the watermark sub-window.
 func (s *Store[K]) AddString(key K, item string) bool {
-	widx := s.resolveWidx(s.currentWidx(), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddString(item)
-	st.mu.Unlock()
-	return changed
+	return addOne(s, opsString, s.currentWidx(), key, item)
 }
 
 // AddStringAt is AddString with an explicit record timestamp; see AddAt.
 func (s *Store[K]) AddStringAt(ts time.Time, key K, item string) bool {
-	widx := s.resolveWidx(s.tsWidx(ts), 1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	s.touchLocked(st)
-	changed := s.slotLocked(st, key, widx).AddString(item)
-	st.mu.Unlock()
-	return changed
+	return addOne(s, opsString, s.tsWidx(ts), key, item)
 }
 
 // tsWidx discretizes a record timestamp into its sub-window index; 0 for
@@ -498,10 +772,10 @@ func (s *Store[K]) tsWidx(ts time.Time) int64 {
 }
 
 // storeScratch holds one in-flight batch's routing state: each record's
-// (key, original position) grouped stripe-contiguously by counting sort,
-// plus the per-stripe layout and an item-gather buffer.
+// (key, tag, original position) grouped stripe-contiguously by counting
+// sort, plus the per-stripe layout and item-gather buffers.
 type storeScratch[K StoreKey] struct {
-	hi     []uint64 // router high words, one per record
+	hi, lo []uint64 // router high words, one per record; then item hashes
 	recs   []storeRec[K]
 	counts []int
 	offs   []int
@@ -509,15 +783,20 @@ type storeScratch[K StoreKey] struct {
 	bufS   []string
 }
 
-// storeRec carries a record's key through stripe grouping; pos (the
-// record's index in the caller's slices) fetches the item when the run
-// is ingested. The counting sort preserves original record order within
-// each stripe, which keeps the batch path bit-identical to per-item
-// ingestion.
+// storeRec carries a record's key and router hash (its table tag)
+// through stripe grouping; pos (the record's index in the caller's
+// slices) fetches the item when the run is ingested. The counting sort
+// preserves original record order within each stripe, which keeps the
+// batch path bit-identical to per-item ingestion.
 type storeRec[K StoreKey] struct {
-	key K
-	pos int
+	key  K
+	tag  uint64
+	pos  int
+	slot uint32 // the key's slot, once resolved; noSlot before
 }
+
+// noSlot marks a storeRec whose slot is not resolved yet.
+const noSlot = math.MaxUint32
 
 func (s *Store[K]) getScratch(n int) *storeScratch[K] {
 	sc, _ := s.scratch.Get().(*storeScratch[K])
@@ -525,7 +804,7 @@ func (s *Store[K]) getScratch(n int) *storeScratch[K] {
 		sc = &storeScratch[K]{}
 	}
 	if cap(sc.hi) < n {
-		sc.hi = make([]uint64, n)
+		sc.hi, sc.lo = make([]uint64, n), make([]uint64, n)
 		sc.recs = make([]storeRec[K], n)
 	}
 	if cap(sc.counts) < len(s.stripes) {
@@ -545,36 +824,36 @@ func (s *Store[K]) putScratch(sc *storeScratch[K]) {
 	s.scratch.Put(sc)
 }
 
-// hashKeys fills sc.hi with the router hash of every key, through the
-// router's batch path.
-func (s *Store[K]) hashKeys(keys []K, hi []uint64) {
-	if len(keys) == 0 {
-		return
+// runBuf returns the scratch's n-item gather buffer for item type T.
+func runBuf[K StoreKey, T any](sc *storeScratch[K], n int) []T {
+	p, ok := any(&sc.buf64).(*[]T)
+	if !ok {
+		p = any(&sc.bufS).(*[]T)
 	}
-	if s.isStr {
-		strs := unsafe.Slice((*string)(unsafe.Pointer(&keys[0])), len(keys))
-		s.router.Sum128StringBatch(strs, hi, nil)
-		return
+	if cap(*p) < n {
+		*p = make([]T, n)
 	}
-	words := unsafe.Slice((*uint64)(unsafe.Pointer(&keys[0])), len(keys))
-	s.router.Sum128Uint64Batch(words, hi, nil)
+	return (*p)[:n]
 }
 
-// group routes every key and counting-sorts the records
-// stripe-contiguously: on return sc.recs[offs[i]-counts[i]:offs[i]] are
-// stripe i's records in original batch order.
+// group routes every key with one batched hash pass and counting-sorts
+// the records stripe-contiguously: on return
+// sc.recs[offs[i]-counts[i]:offs[i]] are stripe i's records in original
+// batch order, each carrying its router hash as the table tag.
 func (s *Store[K]) group(sc *storeScratch[K], keys []K) (counts, offs []int) {
 	n := len(keys)
 	hi := sc.hi[:n]
-	s.hashKeys(keys, hi)
-	counts = sc.counts[:len(s.stripes)]
-	for i := range counts {
-		counts[i] = 0
+	if s.isStr {
+		strs := unsafe.Slice((*string)(unsafe.Pointer(&keys[0])), n)
+		s.router.Sum128StringBatch(strs, hi, nil)
+	} else {
+		words := unsafe.Slice((*uint64)(unsafe.Pointer(&keys[0])), n)
+		s.router.Sum128Uint64Batch(words, hi, nil)
 	}
-	for i, w := range hi {
-		idx := s.stripeIndex(w)
-		hi[i] = idx
-		counts[idx]++
+	counts = sc.counts[:len(s.stripes)]
+	clear(counts)
+	for _, w := range hi {
+		counts[s.stripeIndex(w)]++
 	}
 	offs = sc.offs[:len(s.stripes)]
 	sum := 0
@@ -584,20 +863,17 @@ func (s *Store[K]) group(sc *storeScratch[K], keys []K) (counts, offs []int) {
 	}
 	recs := sc.recs[:n]
 	for i, key := range keys {
-		idx := hi[i]
-		recs[offs[idx]] = storeRec[K]{key: key, pos: i}
+		idx := s.stripeIndex(hi[i])
+		recs[offs[idx]] = storeRec[K]{key: key, tag: hi[i], pos: i, slot: noSlot}
 		offs[idx]++
 	}
 	return counts, offs
 }
 
 // storeRunBatchMin is the run length at which a key's run switches from
-// looping the counter's per-item Add (map lookup already amortized per
-// run) to its BulkAdder path. Short runs must NOT use BulkAdder: its
-// setup — including the batch-hash scratch many sketches allocate lazily
-// on first use (~4 KiB) — would be paid per tiny per-key sketch, which at
-// a million keys turns into gigabytes of scratch and dominates runtime.
-// Long runs amortize that and win on fused hashing.
+// per-item adds (the table probe already amortized per run) to the batch
+// path: fused hashing through the stripe's shared scratch, which only
+// pays off over a long run.
 const storeRunBatchMin = 64
 
 // AddBatch64 offers record i's item items[i] to key keys[i]'s counter,
@@ -605,23 +881,24 @@ const storeRunBatchMin = 64
 // One batched hash pass routes every key, a counting sort groups records
 // stripe-contiguously (original order preserved within each stripe), and
 // each touched stripe's lock is taken once per batch. Within a stripe,
-// maximal runs of adjacent same-key records share one map lookup, and
-// long runs (≥64 records — exporter flushes, hot keys) go through the
-// counter's BulkAdder fast path, hashing through the stripe's shared
-// scratch. Stripes are drained opportunistically (TryLock sweeps, like
-// Sharded's batch path) so concurrent batches fan out across stripes
-// instead of convoying; a sweep finding every pending stripe busy blocks
-// on the first.
+// maximal runs of adjacent same-key records share one table probe; an
+// S-bitmap store hashes each stripe's items in one batch, and other kinds'
+// long runs (≥64 records — exporter flushes, hot keys) take their
+// BulkAdder path. Stripes
+// are drained opportunistically (TryLock sweeps, like Sharded's batch
+// path) so concurrent batches fan out across stripes instead of
+// convoying; a sweep finding every pending stripe busy blocks on the
+// first.
 //
 // State-equivalent to calling AddUint64(keys[i], items[i]) in slice
 // order: records are never reordered within a key (or at all within a
-// stripe), so the resulting counters are bit-identical. The store clones
+// stripe), so the resulting counters are bit-identical. The store copies
 // any string key it materializes, so callers may reuse the keys' backing
 // memory (a decoded frame buffer) across calls. Steady-state batches
 // allocate nothing. Safe for concurrent use. Panics if the slices'
 // lengths differ.
 func (s *Store[K]) AddBatch64(keys []K, items []uint64) int {
-	return s.addBatch64(s.resolveWidx(s.currentWidx(), len(keys)), keys, items)
+	return addBatch(s, ops64, s.resolveWidx(s.currentWidx(), len(keys)), keys, items)
 }
 
 // AddBatch64At is AddBatch64 with an explicit record timestamp shared by
@@ -629,82 +906,24 @@ func (s *Store[K]) AddBatch64(keys []K, items []uint64) int {
 // every record lands in ts's sub-window; an unwindowed store ignores ts.
 // See AddAt for the timestamp contract.
 func (s *Store[K]) AddBatch64At(ts time.Time, keys []K, items []uint64) int {
-	return s.addBatch64(s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
-}
-
-func (s *Store[K]) addBatch64(widx int64, keys []K, items []uint64) int {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("sbitmap: Store.AddBatch64 with %d keys and %d items", len(keys), len(items)))
-	}
-	if len(keys) == 0 {
-		return 0
-	}
-	sc := s.getScratch(len(keys))
-	defer s.putScratch(sc)
-	counts, offs := s.group(sc, keys)
-	if cap(sc.buf64) < len(items) {
-		sc.buf64 = make([]uint64, len(items))
-	}
-	// The TryLock drain sweep, written out per item type (here and in
-	// AddBatchString) rather than shared through function values: closures
-	// capturing the batch state would cost an allocation per call, and the
-	// wire listener's decode+add path must stay allocation-free.
-	changed := 0
-	pending := 0
-	for _, c := range counts {
-		if c > 0 {
-			pending++
-		}
-	}
-	for pending > 0 {
-		progressed := false
-		for i, c := range counts {
-			if c == 0 {
-				continue
-			}
-			st := &s.stripes[i]
-			if !st.mu.TryLock() {
-				continue
-			}
-			changed += s.ingest64Locked(st, sc, offs[i]-c, offs[i], items, widx)
-			st.mu.Unlock()
-			counts[i] = 0
-			pending--
-			progressed = true
-		}
-		if !progressed {
-			for i, c := range counts {
-				if c == 0 {
-					continue
-				}
-				st := &s.stripes[i]
-				st.mu.Lock()
-				changed += s.ingest64Locked(st, sc, offs[i]-c, offs[i], items, widx)
-				st.mu.Unlock()
-				counts[i] = 0
-				pending--
-				break
-			}
-		}
-	}
-	return changed
+	return addBatch(s, ops64, s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
 }
 
 // AddBatchString is AddBatch64 for string items; see AddBatch64 for the
 // routing, equivalence, and concurrency contract.
 func (s *Store[K]) AddBatchString(keys []K, items []string) int {
-	return s.addBatchString(s.resolveWidx(s.currentWidx(), len(keys)), keys, items)
+	return addBatch(s, opsString, s.resolveWidx(s.currentWidx(), len(keys)), keys, items)
 }
 
 // AddBatchStringAt is AddBatchString with an explicit record timestamp
 // shared by the whole batch; see AddBatch64At.
 func (s *Store[K]) AddBatchStringAt(ts time.Time, keys []K, items []string) int {
-	return s.addBatchString(s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
+	return addBatch(s, opsString, s.resolveWidx(s.tsWidx(ts), len(keys)), keys, items)
 }
 
-func (s *Store[K]) addBatchString(widx int64, keys []K, items []string) int {
+func addBatch[K StoreKey, T any](s *Store[K], ops *itemOps[T], widx int64, keys []K, items []T) int {
 	if len(keys) != len(items) {
-		panic(fmt.Sprintf("sbitmap: Store.AddBatchString with %d keys and %d items", len(keys), len(items)))
+		panic(fmt.Sprintf("sbitmap: Store.%s with %d keys and %d items", ops.method, len(keys), len(items)))
 	}
 	if len(keys) == 0 {
 		return 0
@@ -712,144 +931,160 @@ func (s *Store[K]) addBatchString(widx int64, keys []K, items []string) int {
 	sc := s.getScratch(len(keys))
 	defer s.putScratch(sc)
 	counts, offs := s.group(sc, keys)
-	if cap(sc.bufS) < len(items) {
-		sc.bufS = make([]string, len(items))
-	}
-	changed := 0
-	pending := 0
+	changed, pending := 0, 0
 	for _, c := range counts {
 		if c > 0 {
 			pending++
 		}
 	}
+	drain := func(i int) { // stripe i locked
+		st := &s.stripes[i]
+		changed += ingestLocked(s, ops, st, sc, offs[i]-counts[i], offs[i], items, widx)
+		st.mu.Unlock()
+		counts[i] = 0
+		pending--
+	}
 	for pending > 0 {
-		progressed := false
+		busy, progressed := -1, false
 		for i, c := range counts {
 			if c == 0 {
 				continue
 			}
-			st := &s.stripes[i]
-			if !st.mu.TryLock() {
-				continue
+			if s.stripes[i].mu.TryLock() {
+				drain(i)
+				progressed = true
+			} else if busy < 0 {
+				busy = i
 			}
-			changed += s.ingestStringLocked(st, sc, offs[i]-c, offs[i], items, widx)
-			st.mu.Unlock()
-			counts[i] = 0
-			pending--
-			progressed = true
 		}
 		if !progressed {
-			for i, c := range counts {
-				if c == 0 {
-					continue
-				}
-				st := &s.stripes[i]
-				st.mu.Lock()
-				changed += s.ingestStringLocked(st, sc, offs[i]-c, offs[i], items, widx)
-				st.mu.Unlock()
-				counts[i] = 0
-				pending--
-				break
+			s.stripes[busy].mu.Lock()
+			drain(busy)
+		}
+	}
+	return changed
+}
+
+// ingestLocked feeds one stripe's grouped records to their counters,
+// stripe locked: each maximal run of adjacent same-key records costs one
+// table probe, then per-item adds below storeRunBatchMin or the batch
+// path at or above it. S-bitmap slots take ingestSlotsLocked instead.
+func ingestLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *storeStripe[K], sc *storeScratch[K], start, end int, items []T, widx int64) int {
+	s.touchLocked(st)
+	if s.sh != nil {
+		return ingestSlotsLocked(s, ops, st, sc, start, end, items)
+	}
+	seg := sc.recs[start:end]
+	changed := 0
+	for j := 0; j < len(seg); {
+		run := seg[j:runEnd(seg, j)]
+		j += len(run)
+		c := s.slotCounter(st, s.slotOf(st, run[0].tag, run[0].key), widx)
+		if len(run) >= storeRunBatchMin {
+			buf := runBuf[K, T](sc, len(run))
+			for i, q := range run {
+				buf[i] = items[q.pos]
+			}
+			if sb, ok := c.(*SBitmap); ok {
+				changed += ops.sketch(&sb.sk, &st.scr, buf) // a ring's sub-window
+			} else {
+				changed += ops.ctrs(c, buf)
+			}
+			continue
+		}
+		for _, q := range run {
+			if ops.ctr(c, items[q.pos]) {
+				changed++
 			}
 		}
 	}
 	return changed
 }
 
-// ingest64Locked feeds one stripe's grouped segment to its counters, with
-// the stripe locked: split into maximal adjacent same-key runs,
-// materialize each run's counter once, loop per-item Adds below
-// storeRunBatchMin and take the batch path (gathering the run's items
-// contiguously first) at or above it.
-func (s *Store[K]) ingest64Locked(st *storeStripe[K], sc *storeScratch[K], start, end int, items []uint64, widx int64) int {
+// ingestSlotsLocked is ingestLocked for S-bitmap slots, in four passes
+// over the stripe's records: hash every item in one batch; resolve each
+// run's slot; touch each slot's header and every record's bitmap word
+// (Go has no prefetch instruction: a load whose value is discarded stands
+// in for one); then run Algorithm 2 on the slot states — one hash and one
+// bit probe per record, with no interface dispatch. Each pass issues
+// independent loads, so one record's cache misses (table cell, sketch
+// state) overlap with the next records' instead of queueing behind them:
+// at a working set past the caches a miss costs more than all of
+// Algorithm 2's arithmetic. Keys materialize in the last pass, which also
+// resolves every run itself when eviction could free a slot resolved
+// earlier.
+func ingestSlotsLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *storeStripe[K], sc *storeScratch[K], start, end int, items []T) int {
 	seg := sc.recs[start:end]
-	s.touchLocked(st)
-	changed := 0
-	for j := 0; j < len(seg); {
-		k := j + 1
-		for k < len(seg) && seg[k].key == seg[j].key {
-			k++
+	buf := runBuf[K, T](sc, len(seg))
+	for i, r := range seg {
+		buf[i] = items[r.pos]
+	}
+	hi, lo := sc.hi[start:end], sc.lo[start:end] // the router hashes are spent
+	ops.hash(s.sh.Hasher(), buf, hi, lo)
+	if s.limit == 0 {
+		for j := 0; j < len(seg); j = runEnd(seg, j) {
+			if slot, ok := st.lookup(seg[j].tag, seg[j].key, s.isStr); ok {
+				seg[j].slot = slot
+			}
 		}
-		c := s.slotLocked(st, seg[j].key, widx)
-		if k-j < storeRunBatchMin {
-			for _, r := range seg[j:k] {
-				if c.AddUint64(items[r.pos]) {
-					changed++
+		var touch uint64
+		for j := 0; j < len(seg); {
+			k := runEnd(seg, j)
+			if seg[j].slot != noSlot {
+				state := s.stateOf(st, seg[j].slot)
+				touch ^= state[0]
+				for _, h := range hi[j:k] {
+					touch ^= state[s.sh.ProbeWord(h)]
 				}
 			}
-		} else {
-			buf := sc.buf64[:k-j]
-			for i, r := range seg[j:k] {
-				buf[i] = items[r.pos]
+			j = k
+		}
+		st.touch = touch
+	}
+	changed := 0
+	for j := 0; j < len(seg); {
+		k := runEnd(seg, j)
+		slot := seg[j].slot
+		if slot == noSlot {
+			slot = s.slotOf(st, seg[j].tag, seg[j].key)
+		}
+		state := s.stateOf(st, slot)
+		for i := j; i < k; i++ {
+			if s.sh.Insert(state, hi[i], lo[i]) {
+				changed++
 			}
-			changed += s.addRun64(st, c, buf)
 		}
 		j = k
 	}
 	return changed
 }
 
-// ingestStringLocked is ingest64Locked for string items.
-func (s *Store[K]) ingestStringLocked(st *storeStripe[K], sc *storeScratch[K], start, end int, items []string, widx int64) int {
-	seg := sc.recs[start:end]
-	s.touchLocked(st)
-	changed := 0
-	for j := 0; j < len(seg); {
-		k := j + 1
-		for k < len(seg) && seg[k].key == seg[j].key {
-			k++
-		}
-		c := s.slotLocked(st, seg[j].key, widx)
-		if k-j < storeRunBatchMin {
-			for _, r := range seg[j:k] {
-				if c.AddString(items[r.pos]) {
-					changed++
-				}
-			}
-		} else {
-			buf := sc.bufS[:k-j]
-			for i, r := range seg[j:k] {
-				buf[i] = items[r.pos]
-			}
-			changed += s.addRunString(st, c, buf)
-		}
-		j = k
+// runEnd returns the end of the run of same-key records starting at j.
+func runEnd[K StoreKey](seg []storeRec[K], j int) int {
+	k := j + 1
+	for k < len(seg) && seg[k].tag == seg[j].tag && seg[k].key == seg[j].key {
+		k++
 	}
-	return changed
+	return k
 }
 
-// addRun64 dispatches one key's long run: when the slab allocator is on
-// and the counter's batch path can borrow scratch, it hashes through the
-// stripe's shared buffers (so a tiny per-key sketch never lazily allocates
-// its own ~4 KiB); otherwise the counter's ordinary BulkAdder path. The
-// resulting sketch state is bit-identical either way.
-func (s *Store[K]) addRun64(st *storeStripe[K], c Counter, buf []uint64) int {
-	if s.slab {
-		if sa, ok := c.(scratchBulkAdder); ok {
-			return sa.addBatch64Scratch(&st.scr, buf)
-		}
+// estimateAt returns a live slot's estimate.
+func (s *Store[K]) estimateAt(st *storeStripe[K], slot uint32) float64 {
+	if s.sh != nil {
+		return s.sh.Estimate(s.stateOf(st, slot))
 	}
-	return AddBatch64(c, buf)
-}
-
-// addRunString is addRun64 for string items.
-func (s *Store[K]) addRunString(st *storeStripe[K], c Counter, buf []string) int {
-	if s.slab {
-		if sa, ok := c.(scratchBulkAdder); ok {
-			return sa.addBatchStringScratch(&st.scr, buf)
-		}
-	}
-	return AddBatchString(c, buf)
+	return st.ctrs[slot].Estimate()
 }
 
 // Estimate returns key's distinct-count estimate; ok is false if the key
 // has never been seen (or was evicted). Safe for concurrent use.
 func (s *Store[K]) Estimate(key K) (estimate float64, ok bool) {
-	st := s.stripeFor(key)
+	tag := s.hashKey(key)
+	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
-	c, ok := st.m[key]
+	slot, ok := st.lookup(tag, key, s.isStr)
 	if ok {
-		estimate = c.Estimate()
+		estimate = s.estimateAt(st, slot)
 	}
 	st.mu.Unlock()
 	return estimate, ok
@@ -881,12 +1116,10 @@ func (s *Store[K]) EstimateBatch(keys []K, out []float64, ok []bool) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for _, rec := range sc.recs[offs[i]-n : offs[i]] {
-			c, hit := st.m[rec.key]
-			ok[rec.pos] = hit
+			slot, hit := st.lookup(rec.tag, rec.key, s.isStr)
+			ok[rec.pos], out[rec.pos] = hit, 0
 			if hit {
-				out[rec.pos] = c.Estimate()
-			} else {
-				out[rec.pos] = 0
+				out[rec.pos] = s.estimateAt(st, slot)
 			}
 		}
 		st.mu.Unlock()
@@ -937,11 +1170,12 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 		wm = 0
 	}
 	var we WindowEstimate
-	st := s.stripeFor(key)
+	tag := s.hashKey(key)
+	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
-	c, ok := st.m[key]
+	slot, ok := st.lookup(tag, key, s.isStr)
 	if ok {
-		we, err = c.(*windowRing).estimateWindow(wm, n)
+		we, err = st.ctrs[slot].(*windowRing).estimateWindow(wm, n)
 	}
 	st.mu.Unlock()
 	if err != nil {
@@ -1000,40 +1234,29 @@ func (s *Store[K]) LateRecords() int64 { return s.late.Load() }
 // Len returns the number of live keys. Safe for concurrent use.
 func (s *Store[K]) Len() int { return int(s.keys.Load()) }
 
-// Remove deletes key and reports whether it was present. The eviction
-// hook does not fire — Remove is the caller's own policy, not the
-// store's. Safe for concurrent use.
+// Remove deletes key and reports whether it was present; its slot is
+// reused by a later key. The eviction hook does not fire — Remove is the
+// caller's own policy, not the store's. Safe for concurrent use.
 func (s *Store[K]) Remove(key K) bool {
-	st := s.stripeFor(key)
+	tag := s.hashKey(key)
+	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
-	_, ok := st.m[key]
+	slot, ok := st.lookup(tag, key, s.isStr)
 	if ok {
-		delete(st.m, key)
-		s.touchLocked(st)
-		s.keys.Add(-1)
+		s.drop(st, st.cellOf(tag, slot))
 	}
 	st.mu.Unlock()
 	return ok
 }
 
 // ForEach calls fn for every live key until fn returns false. Stripes are
-// visited in order, keys within a stripe in map order (unspecified). fn
+// visited in order, keys within a stripe in slot order (unspecified). fn
 // runs with the key's stripe locked: read the counter, do not mutate it,
-// and do not call Store methods (self-deadlock). Keys materialized or
-// evicted concurrently in not-yet-visited stripes may or may not be seen.
-func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for k, c := range st.m {
-			if !fn(k, c) {
-				st.mu.Unlock()
-				return
-			}
-		}
-		st.mu.Unlock()
-	}
-}
+// and do not call Store methods (self-deadlock). The counter is a live
+// view of the key's state, valid until the key is removed or evicted.
+// Keys materialized or evicted concurrently in not-yet-visited stripes
+// may or may not be seen.
+func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) { s.scan(0, fn) }
 
 // ForEachDirty calls fn for every live key in every stripe mutated at or
 // after generation since, and returns the cut: the new generation that
@@ -1052,22 +1275,28 @@ func (s *Store[K]) ForEach(fn func(key K, c Counter) bool) {
 // its own cuts.
 func (s *Store[K]) ForEachDirty(since uint64, fn func(key K, c Counter) bool) (cut uint64) {
 	cut = s.gen.Add(1)
+	s.scan(since, fn)
+	return cut
+}
+
+// scan calls fn, in stripe and then slot order, for every live key of the
+// stripes stamped at or after since, until fn returns false.
+func (s *Store[K]) scan(since uint64, fn func(key K, c Counter) bool) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		if st.modGen < since {
-			st.mu.Unlock()
-			continue
-		}
-		for k, c := range st.m {
-			if !fn(k, c) {
-				st.mu.Unlock()
-				return cut
+		more := true
+		for slot, f := range st.flags {
+			if st.modGen < since || !more {
+				break
 			}
+			more = f&slotLive == 0 || fn(s.keyOf(st, uint32(slot)), s.counterAt(st, uint32(slot)))
 		}
 		st.mu.Unlock()
+		if !more {
+			return
+		}
 	}
-	return cut
 }
 
 // KeyEstimate is one TopK entry.
@@ -1141,30 +1370,29 @@ func (s *Store[K]) SizeBits() int {
 	return total
 }
 
-// storeEntryOverhead approximates the per-key map cost beyond the key and
-// counter themselves: bucket slot (tophash byte, key and interface-value
-// cells at ~13/8 load factor) plus the counter interface header.
-const storeEntryOverhead = 48
-
-// Footprint returns the store's resident process memory in bytes: the
-// stripe array, the maps' per-entry overhead (approximate — Go maps do
-// not expose their exact layout), key storage (string bytes for string
-// keys), and every counter's own footprint. Safe for concurrent use; one
-// stripe is locked at a time.
+// Footprint returns the store's resident process memory in bytes, by
+// capacity: the Store and its stripes, each stripe's key table, slot
+// metadata, key arena and hash scratch, the S-bitmap state and view slabs
+// with their shared Shape (or, for other kinds, every counter's own
+// footprint). Safe for concurrent use; one stripe is locked at a time.
 func (s *Store[K]) Footprint() int {
-	var zero K
-	total := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
-	isStr := s.isStr
+	total := int(unsafe.Sizeof(*s)+unsafe.Sizeof(*s.router)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
+	if s.sh != nil {
+		total += int(unsafe.Sizeof(*s.sh)) + s.sh.Config().AuxBytes()
+	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		total += st.scr.Footprint()
-		total += len(st.m) * (int(unsafe.Sizeof(zero)) + storeEntryOverhead)
-		for k, c := range st.m {
-			if isStr {
-				total += len(keyString(k))
+		total += st.scr.Footprint() + int(unsafe.Sizeof(storeEntry{}))*cap(st.tab) +
+			8*cap(st.slotKeys) + cap(st.flags) + 4*cap(st.free) + cap(st.arena) +
+			int(unsafe.Sizeof([]byte(nil)))*(cap(st.state)+cap(st.views)) + int(unsafe.Sizeof(Counter(nil)))*cap(st.ctrs)
+		for j := range st.state {
+			total += 8*cap(st.state[j]) + int(unsafe.Sizeof(SBitmap{}))*cap(st.views[j])
+		}
+		for _, c := range st.ctrs {
+			if c != nil {
+				total += c.Footprint()
 			}
-			total += c.Footprint()
 		}
 		st.mu.Unlock()
 	}
@@ -1177,8 +1405,9 @@ func (s *Store[K]) Reset() {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		s.keys.Add(-int64(len(st.m)))
-		st.m = make(map[K]Counter)
+		s.keys.Add(-int64(len(st.flags) - len(st.free)))
+		st.tab, st.slotKeys, st.flags, st.free, st.hand = nil, nil, nil, nil, 0
+		st.state, st.views, st.ctrs, st.arena, st.dead = nil, nil, nil, nil, 0
 		s.touchLocked(st)
 		st.mu.Unlock()
 	}
@@ -1202,11 +1431,10 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 	// empty adopted counters). For windowed stores the question is about
 	// the base kind — every ring merges structurally, but only by merging
 	// same-sub-window sketches.
-	if s.win != nil {
-		if !s.win.mergeable {
+	if !s.mergeable {
+		if s.win != nil {
 			return fmt.Errorf("sbitmap: windowed store of kind %s: %w", s.spec.Kind, ErrNotMergeable)
 		}
-	} else if _, ok := s.newCounter().(Mergeable); !ok {
 		return fmt.Errorf("sbitmap: store of kind %s: %w", s.spec.Kind, ErrNotMergeable)
 	}
 	if other.win != nil {
@@ -1216,28 +1444,22 @@ func (s *Store[K]) Merge(other *Store[K]) error {
 			s.advanceWatermark(owm)
 		}
 	}
-	for i := range other.stripes {
-		ot := &other.stripes[i]
-		ot.mu.Lock()
-		keys := make([]K, 0, len(ot.m))
-		srcs := make([]Counter, 0, len(ot.m))
-		for k, c := range ot.m {
-			keys = append(keys, k)
-			srcs = append(srcs, c)
-		}
-		ot.mu.Unlock()
-		for j, key := range keys {
-			// Same router (specs match), so the key lands on the same
-			// stripe index in both stores; locks are never held pairwise.
-			st := &s.stripes[s.stripeIndex(s.hashKey(key))]
-			st.mu.Lock()
-			s.touchLocked(st)
-			dst := s.counterLocked(st, key)
-			err := Merge(dst, srcs[j])
-			st.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("sbitmap: store key %v: %w", key, err)
-			}
+	// Collected first, so the two stores' locks are never held pairwise.
+	var keys []K
+	var srcs []Counter
+	other.ForEach(func(k K, c Counter) bool {
+		keys, srcs = append(keys, k), append(srcs, c)
+		return true
+	})
+	for j, key := range keys {
+		tag := s.hashKey(key)
+		st := &s.stripes[s.stripeIndex(tag)]
+		st.mu.Lock()
+		s.touchLocked(st)
+		err := Merge(s.counterAt(st, s.slotOf(st, tag, key)), srcs[j])
+		st.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("sbitmap: store key %v: %w", key, err)
 		}
 	}
 	return nil
@@ -1302,20 +1524,54 @@ func (s *Store[K]) MarshalBinary() ([]byte, error) {
 	countAt := len(payload)
 	payload = binary.LittleEndian.AppendUint64(payload, 0) // patched below
 	count := uint64(0)
-	var err error
-	s.ForEach(func(key K, c Counter) bool {
-		payload, err = s.appendStoreEntry(payload, key, c)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		var err error
+		payload, count, err = s.appendStripeLocked(payload, st, count)
+		st.mu.Unlock()
 		if err != nil {
-			return false
+			return nil, err
 		}
-		count++
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	binary.LittleEndian.PutUint64(payload[countAt:], count)
 	return appendEnvelope(kindStore, payload), nil
+}
+
+// appendStripeLocked appends every live slot's (key, counter) pair in the
+// container's per-key layout, in slot order — shared by the whole-store
+// snapshot (MarshalBinary) and the per-stripe snapshots (MarshalStripes)
+// — and adds the pairs to count. S-bitmap state is encoded straight from
+// the slab.
+func (s *Store[K]) appendStripeLocked(payload []byte, st *storeStripe[K], count uint64) ([]byte, uint64, error) {
+	for slot, f := range st.flags {
+		if f&slotLive == 0 {
+			continue
+		}
+		key := s.keyOf(st, uint32(slot))
+		if s.isStr {
+			ks := keyString(key)
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ks)))
+			payload = append(payload, ks...)
+		} else {
+			payload = binary.LittleEndian.AppendUint64(payload, keyWord(key))
+		}
+		at := len(payload)
+		payload = append(payload, 0, 0, 0, 0) // blob length, patched below
+		if s.sh != nil {
+			payload = appendEnvelopeHeader(payload, KindSBitmap)
+			payload = s.sh.AppendBinary(payload, s.stateOf(st, uint32(slot)))
+		} else {
+			blob, err := Marshal(st.ctrs[slot])
+			if err != nil {
+				return nil, 0, fmt.Errorf("sbitmap: store key %v: %w", key, err)
+			}
+			payload = append(payload, blob...)
+		}
+		binary.LittleEndian.PutUint32(payload[at:], uint32(len(payload)-at-4))
+		count++
+	}
+	return payload, count, nil
 }
 
 // UnmarshalStore reconstructs a Store serialized by MarshalBinary. K must
@@ -1323,7 +1579,8 @@ func (s *Store[K]) MarshalBinary() ([]byte, error) {
 // seed and hash family, so the store continues counting immediately; opts
 // re-apply deployment shape (stripes, key limit), which snapshots do not
 // record. A WithMaxKeys limit smaller than the snapshot's key count is an
-// error — restoring never silently drops keys.
+// error — restoring never silently drops keys — and so is a per-key
+// counter of another kind or dimensions than the spec (ErrSpecMismatch).
 func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], error) {
 	payload, err := payloadOfKind(data, kindStore)
 	if err != nil {
@@ -1370,58 +1627,16 @@ func UnmarshalStore[K StoreKey](data []byte, opts ...StoreOption) (*Store[K], er
 		// explicit decision (restore unbounded, then Remove or re-limit).
 		return nil, fmt.Errorf("sbitmap: store snapshot holds %d keys, above the WithMaxKeys limit %d", count, s.limit)
 	}
-	// The spec's seed/hash options restore each counter's full hash
-	// configuration (Spec.options omits defaults, which Unmarshal shares).
-	specOpts, err := spec.options()
-	if err != nil {
+	if err := s.restoreEntries(payload, count); err != nil {
 		return nil, err
-	}
-	for i := uint64(0); i < count; i++ {
-		key, c, rest, err := s.decodeStoreEntry(payload, i, specOpts)
-		if err != nil {
-			return nil, err
-		}
-		payload = rest
-		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
-		if _, dup := st.m[key]; dup {
-			return nil, fmt.Errorf("sbitmap: store snapshot repeats key %v", key)
-		}
-		st.m[key] = c
-		s.keys.Add(1)
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("sbitmap: %d trailing bytes after last store entry", len(payload))
 	}
 	return s, nil
 }
 
-// appendStoreEntry appends one (key, counter) pair in the container's
-// per-key layout — shared by the whole-store snapshot (MarshalBinary) and
-// the per-stripe snapshots (MarshalStripes).
-func (s *Store[K]) appendStoreEntry(payload []byte, key K, c Counter) ([]byte, error) {
-	blob, err := Marshal(c)
-	if err != nil {
-		return nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
-	}
-	if s.isStr {
-		ks := keyString(key)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ks)))
-		payload = append(payload, ks...)
-	} else {
-		payload = binary.LittleEndian.AppendUint64(payload, keyWord(key))
-	}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(blob)))
-	payload = append(payload, blob...)
-	return payload, nil
-}
-
-// decodeStoreEntry decodes one (key, counter) pair and returns the
-// remaining payload — the inverse of appendStoreEntry, shared by
-// UnmarshalStore and RestoreStripe. i labels truncation errors. On a
-// windowed store the counter blob is a sub-window ring, and the store's
-// watermark advances to the ring's newest sub-window so restores
-// re-derive the time position from snapshot contents.
-func (s *Store[K]) decodeStoreEntry(payload []byte, i uint64, specOpts []Option) (key K, c Counter, rest []byte, err error) {
+// decodeEntry splits one (key, counter blob) pair off payload — the
+// inverse of appendStripeLocked's framing — and returns the rest. A
+// string key aliases payload. i labels truncation errors.
+func decodeEntry[K StoreKey](payload []byte, i uint64) (key K, blob, rest []byte, err error) {
 	if keyIsString[K]() {
 		if len(payload) < 4 {
 			return key, nil, nil, fmt.Errorf("%w: store key %d header", ErrTruncated, i)
@@ -1431,7 +1646,7 @@ func (s *Store[K]) decodeStoreEntry(payload []byte, i uint64, specOpts []Option)
 		if klen > len(payload) {
 			return key, nil, nil, fmt.Errorf("%w: store key %d", ErrTruncated, i)
 		}
-		key = keyFromString[K](string(payload[:klen]))
+		key = keyFromString[K](unsafe.String(unsafe.SliceData(payload), klen))
 		payload = payload[klen:]
 	} else {
 		if len(payload) < 8 {
@@ -1448,21 +1663,89 @@ func (s *Store[K]) decodeStoreEntry(payload []byte, i uint64, specOpts []Option)
 	if blen > len(payload) {
 		return key, nil, nil, fmt.Errorf("%w: store counter %d", ErrTruncated, i)
 	}
+	return key, payload[:blen], payload[blen:], nil
+}
+
+// restoreEntry installs one decoded (key, counter blob) pair. S-bitmap
+// state decodes straight into a fresh slot — no per-key Config, hasher or
+// heap object; other blobs decode through decodeBase. Either must
+// match the spec's kind and dimensions (ErrSpecMismatch), and a key
+// already present is an error. On a windowed store it returns the ring's
+// newest sub-window (wmNone otherwise): the caller advances the watermark
+// to it, so restores re-derive the time position from snapshot contents.
+func (s *Store[K]) restoreEntry(key K, blob []byte) (maxW int64, err error) {
+	maxW = wmNone
+	var c Counter
 	if s.win != nil {
-		r, rerr := unmarshalWindowRing(s.win, payload[:blen], specOpts)
-		if rerr != nil {
-			return key, nil, nil, fmt.Errorf("sbitmap: store key %v: %w", key, rerr)
+		r, err := unmarshalWindowRing(s.win, blob, s.decodeBase)
+		if err != nil {
+			return maxW, fmt.Errorf("sbitmap: store key %v: %w", key, corrupt(err))
 		}
-		if maxW := r.maxWidx(); maxW != wmNone {
-			s.advanceWatermark(maxW)
+		c, maxW = r, r.maxWidx()
+	} else if s.sh == nil {
+		if c, err = s.decodeBase(blob); err != nil {
+			return maxW, fmt.Errorf("sbitmap: store key %v: %w", key, corrupt(err))
 		}
-		return key, r, payload[blen:], nil
 	}
-	c, err = Unmarshal(payload[:blen], specOpts...)
+	tag := s.hashKey(key)
+	st := &s.stripes[s.stripeIndex(tag)]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, dup := st.lookup(tag, key, s.isStr); dup {
+		return maxW, fmt.Errorf("%w: store snapshot repeats key %v", ErrCorrupt, key)
+	}
+	slot := s.newSlot(st, c)
+	if s.sh != nil {
+		if err := s.decodeSlot(s.stateOf(st, slot), blob); err != nil {
+			s.release(st, slot)
+			return maxW, fmt.Errorf("sbitmap: store key %v: %w", key, corrupt(err))
+		}
+	}
+	st.insert(tag, key, s.isStr, slot)
+	s.keys.Add(1)
+	return maxW, nil
+}
+
+// decodeSlot decodes an S-bitmap counter blob into slot state.
+func (s *Store[K]) decodeSlot(state []uint64, blob []byte) error {
+	kind, payload, err := openEnvelope(blob)
 	if err != nil {
-		return key, nil, nil, fmt.Errorf("sbitmap: store key %v: %w", key, err)
+		return err
 	}
-	return key, c, payload[blen:], nil
+	if kind != KindSBitmap {
+		return fmt.Errorf("%w: a %s counter under spec %s", ErrSpecMismatch, kind, s.spec)
+	}
+	if err := s.sh.Decode(state, payload); errors.Is(err, core.ErrShapeMismatch) {
+		return fmt.Errorf("%w: %v (spec %s)", ErrSpecMismatch, err, s.spec)
+	} else if err != nil {
+		return fmt.Errorf("sbitmap: %w", err)
+	}
+	return nil
+}
+
+// corrupt marks a counter decode error ErrCorrupt unless it names a
+// mismatch with the spec.
+func corrupt(err error) error {
+	if errors.Is(err, ErrSpecMismatch) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrCorrupt, err)
+}
+
+// decodeBase restores one base-spec counter blob, which must match the
+// spec's kind and dimensions: reset, it must snapshot exactly like a
+// fresh counter of the spec.
+func (s *Store[K]) decodeBase(blob []byte) (Counter, error) {
+	c, err := Unmarshal(blob, s.specOpts...)
+	if err != nil {
+		return nil, err
+	}
+	probe, _ := Unmarshal(blob, s.specOpts...)
+	probe.Reset()
+	if pb, err := Marshal(probe); err != nil || !bytes.Equal(pb, s.emptyBlob) {
+		return nil, fmt.Errorf("%w: the counter's kind or dimensions differ from spec %s", ErrSpecMismatch, s.spec.base())
+	}
+	return c, nil
 }
 
 // Per-stripe snapshot format (the unit of an incremental checkpoint):
@@ -1547,18 +1830,16 @@ func (s *Store[K]) MarshalStripes(since uint64) (blobs map[int][]byte, cut uint6
 			st.mu.Unlock()
 			continue
 		}
-		payload := make([]byte, 0, stripeSnapHeader+48*len(st.m))
+		live := len(st.flags) - len(st.free)
+		payload := make([]byte, 0, stripeSnapHeader+live*(24+8*s.stride))
 		payload = append(payload, stripeSnapMagic...)
 		payload = append(payload, stripeSnapVersion, storeKeyCode[K]())
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(st.m)))
-		for k, c := range st.m {
-			payload, err = s.appendStoreEntry(payload, k, c)
-			if err != nil {
-				st.mu.Unlock()
-				return nil, 0, err
-			}
-		}
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(live))
+		payload, _, err = s.appendStripeLocked(payload, st, 0)
 		st.mu.Unlock()
+		if err != nil {
+			return nil, 0, err
+		}
 		blobs[i] = payload
 	}
 	return blobs, cut, nil
@@ -1570,49 +1851,66 @@ func (s *Store[K]) MarshalStripes(since uint64) (blobs map[int][]byte, cut uint6
 // the stripe count changed across restarts (same spec ⇒ same key
 // placement within a stripe count). Returns the number of keys restored.
 // Keys already present are an error (stripe snapshots from one
-// checkpoint are disjoint by construction), as is exceeding a WithMaxKeys
-// limit: restoring never silently drops keys.
+// checkpoint are disjoint by construction), as are exceeding a
+// WithMaxKeys limit — restoring never silently drops keys — and a
+// counter of another kind or dimensions than the spec (ErrSpecMismatch).
+// A blob that fails restores nothing.
 func (s *Store[K]) RestoreStripe(blob []byte) (int, error) {
 	if len(blob) < stripeSnapHeader {
 		return 0, fmt.Errorf("%w: stripe snapshot header", ErrTruncated)
 	}
 	if string(blob[:4]) != stripeSnapMagic {
-		return 0, fmt.Errorf("sbitmap: stripe snapshot magic %q, want %q", blob[:4], stripeSnapMagic)
+		return 0, fmt.Errorf("%w: stripe snapshot magic %q, want %q", ErrBadMagic, blob[:4], stripeSnapMagic)
 	}
 	if blob[4] != stripeSnapVersion {
-		return 0, fmt.Errorf("sbitmap: stripe snapshot version %d, want %d", blob[4], stripeSnapVersion)
+		return 0, fmt.Errorf("%w: stripe snapshot version %d, want %d", ErrUnsupportedVersion, blob[4], stripeSnapVersion)
 	}
 	if blob[5] != storeKeyCode[K]() {
 		kinds := map[byte]string{storeKeyUint64: "uint64", storeKeyString: "string"}
-		return 0, fmt.Errorf("sbitmap: stripe snapshot has %s keys, not %s",
-			kinds[blob[5]], kinds[storeKeyCode[K]()])
+		return 0, fmt.Errorf("%w: stripe snapshot has %s keys, not %s",
+			ErrKindMismatch, kinds[blob[5]], kinds[storeKeyCode[K]()])
 	}
 	count := binary.LittleEndian.Uint64(blob[6:])
-	payload := blob[stripeSnapHeader:]
-	specOpts, err := s.spec.options()
-	if err != nil {
+	if err := s.restoreEntries(blob[stripeSnapHeader:], count); err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < count; i++ {
-		key, c, rest, err := s.decodeStoreEntry(payload, i, specOpts)
-		if err != nil {
-			return int(i), err
-		}
-		payload = rest
-		st := &s.stripes[s.stripeIndex(s.hashKey(key))]
-		st.mu.Lock()
-		if _, dup := st.m[key]; dup {
-			st.mu.Unlock()
-			return int(i), fmt.Errorf("sbitmap: stripe snapshot repeats key %v", key)
-		}
-		st.m[key] = c
-		st.mu.Unlock()
-		if n := s.keys.Add(1); s.limit > 0 && n > int64(s.limit) {
-			return int(i) + 1, fmt.Errorf("sbitmap: stripe restore exceeds the WithMaxKeys limit %d", s.limit)
-		}
-	}
-	if len(payload) != 0 {
-		return int(count), fmt.Errorf("sbitmap: %d trailing bytes after last stripe entry", len(payload))
-	}
 	return int(count), nil
+}
+
+// restoreEntries restores the count (key, counter) entries of payload —
+// all of them or, on any failure, none: the entries restored before it
+// are removed again. Once all succeed the watermark advances to the
+// newest restored sub-window.
+func (s *Store[K]) restoreEntries(payload []byte, count uint64) error {
+	var err error
+	restored, maxW, rest := uint64(0), int64(wmNone), payload
+	for ; restored < count; restored++ {
+		key, blob, next, derr := decodeEntry[K](rest, restored)
+		if err = derr; err == nil && s.limit > 0 && s.keys.Load() >= int64(s.limit) {
+			err = fmt.Errorf("sbitmap: restore exceeds the WithMaxKeys limit %d", s.limit)
+		}
+		var w int64
+		if err == nil {
+			w, err = s.restoreEntry(key, blob)
+		}
+		if err != nil {
+			break
+		}
+		maxW, rest = max(maxW, w), next
+	}
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes after the last entry", ErrCorrupt, len(rest))
+	}
+	if err != nil {
+		for i := uint64(0); i < restored; i++ {
+			key, _, next, _ := decodeEntry[K](payload, i)
+			s.Remove(key)
+			payload = next
+		}
+		return err
+	}
+	if maxW != wmNone {
+		s.advanceWatermark(maxW)
+	}
+	return nil
 }

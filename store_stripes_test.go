@@ -1,7 +1,12 @@
 package sbitmap
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -313,4 +318,104 @@ func TestRestoreStripeRejects(t *testing.T) {
 			t.Fatal("restore past WithMaxKeys accepted")
 		}
 	})
+}
+
+// TestRestoreRejectsSpecMismatch: a snapshot entry whose counter is of
+// another kind, or other dimensions or resolution, than the restoring
+// store's spec is refused with ErrSpecMismatch, through RestoreStripe and
+// UnmarshalStore alike, and nothing is restored. (The first case used to
+// restore an eps=0.1 blob into an eps=0.01 store as 318-bit sketches
+// against the spec's 31,520 bits.)
+func TestRestoreRejectsSpecMismatch(t *testing.T) {
+	for _, tc := range []struct{ from, into string }{
+		{"sbitmap:n=1e6,eps=0.1", "sbitmap:n=1e6,eps=0.01"},
+		{"sbitmap:n=1e6,eps=0.01,d=30", "sbitmap:n=1e6,eps=0.01"},
+		{"hll:mbits=1024", "sbitmap:n=1e6,eps=0.01"},
+		{"sbitmap:n=1e6,eps=0.1", "hll:mbits=2048"},
+		{"hll:mbits=1024", "hll:mbits=2048"},
+		{"exact", "hll:mbits=1024"},
+		{"hll:mbits=1024/windowed(width=1m,ring=4)", "hll:mbits=1024/windowed(width=1m,ring=2)"},
+		{"hll:mbits=1024/windowed(width=1m,ring=4)", "hll:mbits=2048/windowed(width=1m,ring=4)"},
+	} {
+		t.Run(tc.from+" into "+tc.into, func(t *testing.T) {
+			src, err := NewStore[string](MustSpec(tc.from), WithStripes(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 50; i++ {
+				src.AddUint64(fmt.Sprintf("k%d", i%7), i)
+			}
+			blobs, _, err := src.MarshalStripes(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := NewStore[string](MustSpec(tc.into))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := dst.RestoreStripe(blobs[0]); !errors.Is(err, ErrSpecMismatch) || n != 0 || dst.Len() != 0 {
+				t.Fatalf("RestoreStripe = %d, %v with %d keys restored; want ErrSpecMismatch and none", n, err, dst.Len())
+			}
+			// The same entries in a whole-store container under the
+			// restoring spec's name.
+			snap, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := snap[6:]
+			into := MustSpec(tc.into).String()
+			respec := append([]byte{payload[0]}, binary.LittleEndian.AppendUint16(nil, uint16(len(into)))...)
+			respec = append(append(respec, into...), payload[3+binary.LittleEndian.Uint16(payload[1:]):]...)
+			if _, err := UnmarshalStore[string](appendEnvelope(kindStore, respec)); !errors.Is(err, ErrSpecMismatch) {
+				t.Fatalf("UnmarshalStore: %v, want ErrSpecMismatch", err)
+			}
+		})
+	}
+}
+
+// TestRestoreStripeParentFixtures: stripe snapshots (SBS1 v1) written by
+// the map-based Store that preceded the slot table, committed under
+// testdata, restore bit-identically: re-marshaled from one stripe they
+// reproduce the fixture byte for byte, and every key matches a fresh
+// store fed the records the fixture was made from.
+func TestRestoreStripeParentFixtures(t *testing.T) {
+	t.Run("sbitmap string keys", func(t *testing.T) {
+		checkStripeFixture(t, "stripe_v1_sbitmap_string.bin", "sbitmap:n=1e4,eps=0.1,seed=7", 64,
+			func(k int) string { return fmt.Sprintf("fixture-%02d", k) })
+	})
+	t.Run("hll uint64 keys", func(t *testing.T) {
+		checkStripeFixture(t, "stripe_v1_hll_uint64.bin", "hll:mbits=1024,seed=7", 32,
+			func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 })
+	})
+}
+
+func checkStripeFixture[K StoreKey](t *testing.T, file, spec string, nKeys int, key func(int) K) {
+	blob, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewStore[K](MustSpec(spec), WithStripes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := restored.RestoreStripe(blob); err != nil || n != nKeys {
+		t.Fatalf("RestoreStripe = %d, %v; want %d keys", n, err, nKeys)
+	}
+	blobs, _, err := restored.MarshalStripes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blobs[0], blob) {
+		t.Fatal("re-marshaled stripe differs from the fixture")
+	}
+	fresh, err := NewStore[K](MustSpec(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < nKeys; k++ {
+		for i := 0; i < 1+(k*k)%500; i++ {
+			fresh.AddUint64(key(k), uint64(i*7919+k))
+		}
+	}
+	assertStoresIdentical(t, restored, fresh)
 }

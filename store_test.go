@@ -130,8 +130,10 @@ func assertStoresIdentical[K StoreKey](t *testing.T, a, b *Store[K]) {
 		if !ok {
 			t.Fatalf("key %v missing from second store", key)
 		}
-		st := &b.stripes[b.stripeIndex(b.hashKey(key))]
-		blobB, err := Marshal(st.m[key])
+		tag := b.hashKey(key)
+		st := &b.stripes[b.stripeIndex(tag)]
+		slot, _ := st.lookup(tag, key, b.isStr)
+		blobB, err := Marshal(b.counterAt(st, slot))
 		if err != nil {
 			t.Fatalf("key %v: %v", key, err)
 		}

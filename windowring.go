@@ -340,8 +340,9 @@ func (r *windowRing) MarshalBinary() ([]byte, error) {
 }
 
 // unmarshalWindowRing reconstructs a ring snapshot under a store's
-// window configuration; the snapshot's ring size must match the spec's.
-func unmarshalWindowRing(sh *windowShared, data []byte, specOpts []Option) (*windowRing, error) {
+// window configuration; the snapshot's ring size must match the spec's,
+// and decode restores (and checks) each sub-window's counter.
+func unmarshalWindowRing(sh *windowShared, data []byte, decode func([]byte) (Counter, error)) (*windowRing, error) {
 	payload, err := payloadOfKind(data, kindWindowRing)
 	if err != nil {
 		return nil, err
@@ -352,7 +353,7 @@ func unmarshalWindowRing(sh *windowShared, data []byte, specOpts []Option) (*win
 	ringSize := int(binary.LittleEndian.Uint16(payload))
 	live := int(binary.LittleEndian.Uint16(payload[2:]))
 	if ringSize != sh.ring {
-		return nil, fmt.Errorf("sbitmap: ring snapshot has %d sub-windows, store is configured for %d", ringSize, sh.ring)
+		return nil, fmt.Errorf("%w: ring snapshot has %d sub-windows, store is configured for %d", ErrSpecMismatch, ringSize, sh.ring)
 	}
 	payload = payload[4:]
 	r := newWindowRing(sh)
@@ -369,7 +370,7 @@ func unmarshalWindowRing(sh *windowShared, data []byte, specOpts []Option) (*win
 		if widx == wmNone {
 			return nil, fmt.Errorf("sbitmap: ring snapshot sub-window %d has a reserved index", j)
 		}
-		c, err := Unmarshal(payload[:blen], specOpts...)
+		c, err := decode(payload[:blen])
 		if err != nil {
 			return nil, fmt.Errorf("sbitmap: ring sub-window %d: %w", widx, err)
 		}
