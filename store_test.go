@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,6 +288,61 @@ func TestStoreSnapshotCorruption(t *testing.T) {
 	grown := append(append([]byte{}, blob...), 0xEE)
 	if _, err := UnmarshalStore[string](grown); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestStoreConcurrentEviction: writers materializing distinct keys into
+// a bounded S-bitmap store evict across stripes (TryLock) and reuse slots
+// while a reader walks and estimates. Every key is materialized exactly
+// once, so evictions plus live keys must account for all of them, and
+// the bound holds up to the stripe-count overshoot.
+func TestStoreConcurrentEviction(t *testing.T) {
+	const writers, perWriter, limit, stripes = 4, 5000, 300, 8
+	st, err := NewStore[string](MustSpec("sbitmap:n=1e4,eps=0.1"), WithMaxKeys(limit), WithStripes(stripes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evicted atomic.Int64
+	st.OnEvict(func(string, Counter) { evicted.Add(1) })
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			keys := make([]string, 50)
+			items := make([]uint64, len(keys))
+			for base := 0; base < perWriter; base += len(keys) {
+				for i := range keys {
+					keys[i] = fmt.Sprintf("w%d/%d", w, base+i)
+					items[i] = uint64(i)
+				}
+				st.AddBatch64(keys, items)
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	rg.Add(1)
+	go func() {
+		defer rg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st.ForEach(func(string, Counter) bool { return true })
+			st.Estimate("w0/1")
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	if n := st.Len(); n > limit+stripes {
+		t.Fatalf("Len() = %d, want ≤ %d", n, limit+stripes)
+	}
+	if got := int(evicted.Load()) + st.Len(); got != writers*perWriter {
+		t.Fatalf("evictions + live keys = %d, want %d", got, writers*perWriter)
 	}
 }
 
