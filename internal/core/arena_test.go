@@ -75,14 +75,16 @@ func TestArenaSketchEquivalence(t *testing.T) {
 }
 
 // TestArenaOptions: resolution and hash-family options must reach the
-// shape's slab sketches exactly as they reach NewSketch, and decoding
-// into a shape must refuse a sketch of other dimensions or resolution.
+// shape's slab sketches, through a tabulated threshold schedule, exactly
+// as they reach NewSketch, and decoding into a shape must refuse a sketch
+// of other dimensions or resolution.
 func TestArenaOptions(t *testing.T) {
 	cfg, err := NewConfigNE(1e4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := NewShape(cfg, 0, WithResolution(30), WithHasher(uhash.NewTabulation(9)))
+	sh.Tabulate() // the table must hold exactly the schedule's quantized thresholds
 	st := make([]uint64, sh.StateWords())
 	sh.Init(st)
 	b := NewSketch(cfg, 0, WithResolution(30), WithHasher(uhash.NewTabulation(9)))

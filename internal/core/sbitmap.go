@@ -81,6 +81,7 @@ type Shape struct {
 	cfg   *Config
 	h     uhash.Hasher
 	dBits uint
+	thr   []uint64 // threshold by fill level, once tabulated (Tabulate)
 }
 
 // State word layout.
@@ -116,6 +117,25 @@ func NewShape(cfg *Config, seed uint64, opts ...Option) *Shape {
 
 // Config returns the shape's configuration.
 func (sh *Shape) Config() *Config { return sh.cfg }
+
+// Tabulate precomputes the acceptance threshold of every fill level
+// (m+1 words), so an insertion that sets a bucket loads the next
+// threshold instead of evaluating the schedule's exp. Worth it only for a
+// Shape many sketches share — a keyed store's; a standalone sketch keeps
+// its O(1) auxiliary state.
+func (sh *Shape) Tabulate() {
+	thr := make([]uint64, sh.cfg.m+1)
+	for l := range thr {
+		thr[l] = sh.thresholdAt(l)
+	}
+	sh.thr = thr
+}
+
+// Footprint returns the shape's resident bytes: the struct, its Config
+// and any threshold table.
+func (sh *Shape) Footprint() int {
+	return int(unsafe.Sizeof(*sh)) + sh.cfg.AuxBytes() + 8*cap(sh.thr)
+}
 
 // StateWords returns the length of one sketch's state slice.
 func (sh *Shape) StateWords() int { return stateHeader + (sh.cfg.m+63)/64 }
@@ -297,6 +317,9 @@ func (sh *Shape) Decode(st []uint64, data []byte) error {
 // 0→1 transition — at most m recomputations (one exp each) over the
 // sketch's whole lifetime.
 func (sh *Shape) thresholdAt(l int) uint64 {
+	if l < len(sh.thr) {
+		return sh.thr[l]
+	}
 	if l >= sh.cfg.m {
 		return 0
 	}
@@ -407,7 +430,7 @@ func (s *Sketch) SizeBits() int { return s.sh.cfg.m }
 // bitmap. (A Shape may be shared across sketches, in which case its bytes
 // are over-counted; they are a small constant on the closed-form path.)
 func (s *Sketch) Footprint() int {
-	n := int(unsafe.Sizeof(*s)+unsafe.Sizeof(*s.sh)) + s.sh.cfg.AuxBytes() + 8*cap(s.st)
+	n := int(unsafe.Sizeof(*s)) + s.sh.Footprint() + 8*cap(s.st)
 	if s.scr != nil {
 		n += int(unsafe.Sizeof(*s.scr)) + s.scr.Footprint()
 	}

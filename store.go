@@ -37,10 +37,11 @@ import (
 // locked stripes, each a flat slot table (see storeStripe), so ingestion
 // scales across goroutines, and the keyed batch methods route a whole
 // batch with one hash pass and take each touched stripe's lock once per
-// batch. For the S-bitmap kind a key costs its sketch state (m/8 bytes of
-// bitmap plus 16 of fill level and threshold), a 40-byte Counter view,
-// its key bytes, a 32-byte table cell (the table runs 3/8 to 3/4 full)
-// and 9 bytes of slot metadata: no heap object of its own.
+// batch. For the S-bitmap kind a key costs its slot record (its key
+// words, 16 bytes of threshold and fill level, and m/8 bytes of bitmap,
+// padded to a 32- or 64-byte stride), a 40-byte Counter view, a string
+// key's bytes, an 8-byte table cell (the table runs 3/8 to 3/4 full) and
+// a flag byte: no heap object of its own.
 //
 // A Store is safe for concurrent use. Memory is bounded by WithMaxKeys
 // plus the OnEvict hook; unbounded otherwise (one counter per distinct
@@ -59,12 +60,16 @@ type Store[K StoreKey] struct {
 	// a new checkpoint epoch. See MarshalStripes for the protocol.
 	gen atomic.Uint64
 
+	// kw and stride size a slot record: kw key words, then (stride-kw
+	// words, nState of them used) an S-bitmap key's sketch state.
+	kw, stride int
+
 	// sh is the shared Shape of an unwindowed S-bitmap spec: every key's
-	// sketch state then lives in its stripe's slot slabs, stride words per
-	// slot, and ingest runs Algorithm 2 on it directly. nil for the other
-	// kinds, whose slots hold counters from newCounter.
+	// sketch state then lives in its slot record, and ingest runs
+	// Algorithm 2 on it directly. nil for the other kinds, whose slots
+	// hold counters from newCounter.
 	sh     *core.Shape
-	stride int
+	nState int
 
 	// newCounter is the per-key factory of the other kinds (Spec.New, or a
 	// sub-window ring of it), validated once in NewStore so
@@ -102,66 +107,59 @@ type StoreKey interface {
 
 // storeStripe is one lock-striped segment of the key space: a flat slot
 // table. Each live key owns a slot, an index into the stripe's
-// slot-ordered storage, and an open-addressed table (linear probing, at
-// most 3/4 full) maps the key's router hash — the tag, already computed
-// to pick the stripe — to that slot, comparing the key itself only on a
-// tag match. uint64 keys and string keys of up to 16 bytes sit in the
-// table cell; string key bytes are kept in a per-stripe arena, where
-// longer keys are compared. An S-bitmap slot's sketch state and its
-// Counter view live in chunks that never move (see slotChunk), so views
-// handed out stay valid; other kinds and windowed rings keep one Counter
-// per slot. Released slots (Remove, eviction) are reused. Everything is
-// guarded by mu, including the hash scratch lent to long runs into
-// windowed S-bitmap rings.
+// slot-ordered records, and an open-addressed table (linear probing, at
+// most 3/4 full) of 8-byte cells maps the key's router hash — the tag,
+// already computed to pick the stripe — to that slot, comparing the key
+// only on a tag match. A slot's record holds the key (a uint64 key
+// itself; a string key's arena reference and first inlineKey bytes)
+// followed, for the S-bitmap kind, by the sketch state, so a probe's key
+// check reads the very cache line the sketch update needs next. Records
+// and the S-bitmap Counter views over them live in chunks that never
+// move (see slotChunk), so views handed out stay valid; other kinds and
+// windowed rings keep one Counter per slot. Released slots (Remove,
+// eviction) are reused. Everything is guarded by mu, including the hash
+// scratch lent to every long run's batch path.
 type storeStripe[K StoreKey] struct {
-	mu       sync.Mutex
-	tab      []storeEntry // power-of-two length; nil while empty
-	slotKeys []uint64     // per slot: the key, or its arena reference
-	flags    []uint8      // per slot: slotLive, slotRef
-	free     []uint32     // released slots, reused first
-	hand     int          // CLOCK hand: the next eviction candidate
-	state    [][]uint64   // S-bitmap slot state chunks
-	views    [][]SBitmap  // Counter views over state, chunk-parallel
-	ctrs     []Counter    // other kinds: each slot's counter
-	arena    []byte       // string keys (offset<<32 | length), never rewritten
-	dead     int          // arena bytes of released keys
-	scr      uhash.Scratch
-	touch    uint64   // sink of ingestSlotsLocked's prefetching loads
-	modGen   uint64   // generation of the last mutation
-	_        [32]byte // keep adjacent stripes' locks off shared cache lines
+	mu     sync.Mutex
+	tab    []storeEntry // power-of-two length; nil while empty
+	recs   [][]uint64   // slot record chunks, Store.stride words per slot
+	views  [][]SBitmap  // S-bitmap Counter views, chunk-parallel to recs
+	ctrs   []Counter    // other kinds: each slot's counter
+	flags  []uint8      // per slot: slotLive, slotRef
+	free   []uint32     // released slots, reused first
+	hand   int          // CLOCK hand: the next eviction candidate
+	arena  []byte       // string key bytes, never rewritten in place
+	dead   int          // arena bytes of released keys
+	scr    uhash.Scratch
+	touch  uint64   // sink of ingestSlotsLocked's prefetching loads
+	modGen uint64   // generation of the last mutation
+	_      [48]byte // keep adjacent stripes' locks off shared cache lines
 }
 
-// storeEntry is one table cell. key holds a uint64 key in key[0], a
-// string key of up to inlineKey bytes zero-padded, or a longer string
-// key's arena reference in key[0].
+// storeEntry is one table cell.
 type storeEntry struct {
-	tag  uint64
-	key  [2]uint64
-	klen uint32 // string key length
+	tag  uint32 // the router hash's low word, which also picks the home cell
 	slot uint32 // slot+1; 0 marks an empty cell
 }
 
-// inlineKey is the longest string key a table cell holds inline, so
-// probing it needs no arena access.
-const inlineKey = 16
+// A record's key words: a uint64 key is one word; a string key is its
+// arena reference (offset<<32 | length) and its first inlineKey bytes,
+// zero-padded, so only longer keys are compared against the arena.
+const (
+	inlineKey   = 16
+	keyWords64  = 1
+	keyWordsStr = 3
+)
 
-// cellKey returns key as a table cell holds it, and its string length
-// (longer string keys' key is replaced by their arena reference).
-func cellKey[K StoreKey](key K, isStr bool) (k [2]uint64, n uint32) {
-	if !isStr {
-		return [2]uint64{keyWord(key)}, 0
-	}
-	ks := keyString(key)
-	switch {
-	case len(ks) == inlineKey:
+// keyInline returns a string key's first inlineKey bytes as two words.
+func keyInline(ks string) (w0, w1 uint64) {
+	if len(ks) >= inlineKey {
 		b := unsafe.Slice(unsafe.StringData(ks), inlineKey)
-		return [2]uint64{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])}, inlineKey
-	case len(ks) < inlineKey:
-		var b [inlineKey]byte
-		copy(b[:], ks)
-		return [2]uint64{binary.LittleEndian.Uint64(b[:]), binary.LittleEndian.Uint64(b[8:])}, uint32(len(ks))
+		return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
 	}
-	return k, uint32(len(ks)) // compared against the arena instead
+	var b [inlineKey]byte
+	copy(b[:], ks)
+	return binary.LittleEndian.Uint64(b[:]), binary.LittleEndian.Uint64(b[8:])
 }
 
 // Slot flags.
@@ -278,6 +276,11 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		specOpts:   specOpts,
 		emptyBlob:  emptyBlob,
 	}
+	s.kw = keyWords64
+	if s.isStr {
+		s.kw = keyWordsStr
+	}
+	s.stride = s.kw
 	s.wm.Store(wmNone)
 	switch {
 	case spec.Window != 0:
@@ -297,7 +300,15 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		}
 		o := buildOptions(specOpts)
 		s.sh = core.NewShape(cfg, o.seed, core.WithResolution(o.dBits), core.WithHasher(o.newHasher()))
-		s.stride = s.sh.StateWords()
+		s.sh.Tabulate()
+		s.nState = s.sh.StateWords()
+		// Align records so a record's key words and sketch header never
+		// straddle a cache line: chunks start line-aligned.
+		align := 4
+		if s.kw+2 > align {
+			align = 8
+		}
+		s.stride = (s.kw + s.nState + align - 1) / align * align
 	}
 	return s, nil
 }
@@ -355,54 +366,76 @@ func (s *Store[K]) stripeIndex(word uint64) uint64 {
 func (s *Store[K]) touchLocked(st *storeStripe[K]) { st.modGen = s.gen.Load() }
 
 // lookup returns key's slot in st, if present.
-func (st *storeStripe[K]) lookup(tag uint64, key K, isStr bool) (slot uint32, ok bool) {
+func (s *Store[K]) lookup(st *storeStripe[K], tag uint64, key K) (slot uint32, ok bool) {
 	if st.tab == nil {
 		return 0, false
 	}
-	k, n := cellKey(key, isStr)
-	mask := len(st.tab) - 1
-	for pos := int(tag) & mask; ; pos = (pos + 1) & mask {
-		e := &st.tab[pos]
+	mask := uint32(len(st.tab) - 1)
+	for pos := uint32(tag) & mask; ; pos = (pos + 1) & mask {
+		e := st.tab[pos]
 		if e.slot == 0 {
 			return 0, false
 		}
-		if e.tag != tag || e.klen != n {
-			continue
-		}
-		if n <= inlineKey {
-			if e.key == k {
-				return e.slot - 1, true
-			}
-		} else if off := e.key[0] >> 32; string(st.arena[off:off+uint64(n)]) == keyString(key) {
+		if e.tag == uint32(tag) && s.keyIs(st, e.slot-1, key) {
 			return e.slot - 1, true
 		}
 	}
 }
 
+// candidate returns the slot of the first cell in the probe sequence of
+// a key with this tag whose tag matches — almost always the key's own
+// slot, which keyIs confirms (lookup probes on past a collision).
+func (st *storeStripe[K]) candidate(tag uint64) (slot uint32, ok bool) {
+	if st.tab == nil {
+		return 0, false
+	}
+	mask := uint32(len(st.tab) - 1)
+	for pos := uint32(tag) & mask; ; pos = (pos + 1) & mask {
+		if e := st.tab[pos]; e.slot == 0 || e.tag == uint32(tag) {
+			return e.slot - 1, e.slot != 0
+		}
+	}
+}
+
+// keyIs reports whether a live slot holds key.
+func (s *Store[K]) keyIs(st *storeStripe[K], slot uint32, key K) bool {
+	rec := s.rec(st, slot)
+	if !s.isStr {
+		return rec[0] == keyWord(key)
+	}
+	ks := keyString(key)
+	if uint32(rec[0]) != uint32(len(ks)) {
+		return false
+	}
+	w0, w1 := keyInline(ks)
+	return rec[1] == w0 && rec[2] == w1 &&
+		(len(ks) <= inlineKey || string(st.arena[rec[0]>>32:rec[0]>>32+uint64(len(ks))]) == ks)
+}
+
 // cellOf returns the table position of slot's cell.
 func (st *storeStripe[K]) cellOf(tag uint64, slot uint32) int {
 	mask := len(st.tab) - 1
-	pos := int(tag) & mask
+	pos := int(uint32(tag)) & mask
 	for st.tab[pos].slot != slot+1 {
 		pos = (pos + 1) & mask
 	}
 	return pos
 }
 
-// insert files a live slot's key in the table, doubling the table past
-// 3/4 load. A string key is copied into the arena: zero-copy ingest paths
-// (the wire listener) pass keys aliasing reusable frame buffers.
-func (st *storeStripe[K]) insert(tag uint64, key K, isStr bool, slot uint32) {
-	k, n := cellKey(key, isStr)
-	ref := k[0]
-	if isStr {
-		ref = uint64(len(st.arena))<<32 | uint64(n)
-		st.arena = append(st.arena, keyString(key)...)
-		if n > inlineKey {
-			k = [2]uint64{ref}
-		}
+// insert files a materialized slot's key: its record's key words (a
+// string key is copied into the arena, since zero-copy ingest paths —
+// the wire listener — pass keys aliasing reusable frame buffers) and its
+// table cell, doubling the table past 3/4 load.
+func (s *Store[K]) insert(st *storeStripe[K], tag uint64, key K, slot uint32) {
+	rec := s.rec(st, slot)
+	if s.isStr {
+		ks := keyString(key)
+		rec[0] = uint64(len(st.arena))<<32 | uint64(len(ks))
+		rec[1], rec[2] = keyInline(ks)
+		st.arena = append(st.arena, ks...)
+	} else {
+		rec[0] = keyWord(key)
 	}
-	st.slotKeys[slot] = ref
 	if 4*(len(st.flags)-len(st.free)) > 3*len(st.tab) {
 		old := st.tab
 		st.tab = make([]storeEntry, max(16, 2*len(old)))
@@ -412,7 +445,7 @@ func (st *storeStripe[K]) insert(tag uint64, key K, isStr bool, slot uint32) {
 			}
 		}
 	}
-	st.place(storeEntry{tag: tag, key: k, klen: n, slot: slot + 1})
+	st.place(storeEntry{tag: uint32(tag), slot: slot + 1})
 }
 
 // place puts e in the first empty cell of its probe sequence.
@@ -450,10 +483,15 @@ func slotChunk(slot uint32) (chunk, i int) {
 	return 5 + int(slot-248)/256, int(slot-248) % 256
 }
 
+// rec returns a slot's record: its key words, then any sketch state.
+func (s *Store[K]) rec(st *storeStripe[K], slot uint32) []uint64 {
+	c, i := slotChunk(slot)
+	return st.recs[c][i*s.stride : (i+1)*s.stride]
+}
+
 // stateOf returns an S-bitmap slot's sketch state.
 func (s *Store[K]) stateOf(st *storeStripe[K], slot uint32) []uint64 {
-	c, i := slotChunk(slot)
-	return st.state[c][i*s.stride : (i+1)*s.stride]
+	return s.rec(st, slot)[s.kw : s.kw+s.nState]
 }
 
 // counterAt returns a live slot's counter: the S-bitmap view over its
@@ -469,7 +507,7 @@ func (s *Store[K]) counterAt(st *storeStripe[K], slot uint32) Counter {
 // keyOf returns a live slot's key. A string key aliases the arena, whose
 // bytes are never overwritten (compaction copies to a new array).
 func (s *Store[K]) keyOf(st *storeStripe[K], slot uint32) K {
-	ref := st.slotKeys[slot]
+	ref := s.rec(st, slot)[0]
 	if !s.isStr {
 		return keyFromWord[K](ref)
 	}
@@ -490,27 +528,29 @@ func (s *Store[K]) newSlot(st *storeStripe[K], c Counter) uint32 {
 	} else {
 		slot = uint32(len(st.flags))
 		st.flags = append(st.flags, 0)
-		st.slotKeys = append(st.slotKeys, 0)
 		if s.sh == nil {
 			st.ctrs = append(st.ctrs, nil)
-		} else if chunk, i := slotChunk(slot); i == 0 {
+		}
+		if chunk, i := slotChunk(slot); i == 0 {
 			n := 256
 			if chunk < 5 {
 				n = 8 << chunk
 			}
 			// slices.Grow rounds capacity up to the allocation's size
 			// class, so Footprint's capacity sums are exact.
-			state := slices.Grow([]uint64(nil), n*s.stride)[:n*s.stride]
-			views := slices.Grow([]SBitmap(nil), n)[:n]
-			for j := range views {
-				views[j].sk = s.sh.View(state[j*s.stride : (j+1)*s.stride])
+			recs := slices.Grow([]uint64(nil), n*s.stride)[:n*s.stride]
+			st.recs = append(st.recs, recs)
+			if s.sh != nil {
+				views := slices.Grow([]SBitmap(nil), n)[:n]
+				for j := range views {
+					views[j].sk = s.sh.View(recs[j*s.stride+s.kw : j*s.stride+s.kw+s.nState])
+				}
+				st.views = append(st.views, views)
 			}
-			st.state = append(st.state, state)
-			st.views = append(st.views, views)
 		}
 	}
 	st.flags[slot] = slotLive
-	st.slotKeys[slot] = 0
+	s.rec(st, slot)[0] = 0 // no key bytes yet
 	switch {
 	case s.sh != nil:
 		s.sh.Init(s.stateOf(st, slot))
@@ -533,17 +573,14 @@ func (s *Store[K]) release(st *storeStripe[K], slot uint32) {
 	if !s.isStr {
 		return
 	}
-	if st.dead += int(uint32(st.slotKeys[slot])); st.dead > 1024 && 2*st.dead > len(st.arena) {
+	if st.dead += int(uint32(s.rec(st, slot)[0])); st.dead > 1024 && 2*st.dead > len(st.arena) {
 		arena := make([]byte, 0, len(st.arena)-st.dead)
-		for i := range st.tab {
-			if e := &st.tab[i]; e.slot != 0 {
-				ref := st.slotKeys[e.slot-1]
-				off, n := ref>>32, ref&math.MaxUint32
-				ref = uint64(len(arena))<<32 | n
+		for slot, f := range st.flags {
+			if f&slotLive != 0 {
+				rec := s.rec(st, uint32(slot))
+				off, n := rec[0]>>32, rec[0]&math.MaxUint32
+				rec[0] = uint64(len(arena))<<32 | n
 				arena = append(arena, st.arena[off:off+n]...)
-				if st.slotKeys[e.slot-1] = ref; n > inlineKey {
-					e.key[0] = ref
-				}
 			}
 		}
 		st.arena, st.dead = arena, 0
@@ -562,13 +599,13 @@ func (s *Store[K]) drop(st *storeStripe[K], pos int) {
 // slotOf returns key's slot, materializing it on first sight — after
 // evicting a key when the store is at its limit. Stripe lock held.
 func (s *Store[K]) slotOf(st *storeStripe[K], tag uint64, key K) uint32 {
-	slot, ok := st.lookup(tag, key, s.isStr)
+	slot, ok := s.lookup(st, tag, key)
 	if !ok {
 		if s.limit > 0 && int(s.keys.Load()) >= s.limit {
 			s.evictOneLocked(st)
 		}
 		slot = s.newSlot(st, nil)
-		st.insert(tag, key, s.isStr, slot)
+		s.insert(st, tag, key, slot)
 		s.keys.Add(1)
 	}
 	if s.limit > 0 {
@@ -1002,17 +1039,18 @@ func ingestLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *storeStri
 }
 
 // ingestSlotsLocked is ingestLocked for S-bitmap slots, in four passes
-// over the stripe's records: hash every item in one batch; resolve each
-// run's slot; touch each slot's header and every record's bitmap word
+// over the stripe's records: hash every item in one batch; find each
+// run's candidate slot by tag alone; touch each candidate's record line
+// (key words and sketch header) and every record's bitmap word
 // (Go has no prefetch instruction: a load whose value is discarded stands
 // in for one); then run Algorithm 2 on the slot states — one hash and one
-// bit probe per record, with no interface dispatch. Each pass issues
-// independent loads, so one record's cache misses (table cell, sketch
-// state) overlap with the next records' instead of queueing behind them:
-// at a working set past the caches a miss costs more than all of
-// Algorithm 2's arithmetic. Keys materialize in the last pass, which also
-// resolves every run itself when eviction could free a slot resolved
-// earlier.
+// bit probe per record, with no interface dispatch, once the key is
+// confirmed in the cached record. Each pass issues independent loads, so
+// one record's cache misses overlap with the next records' instead of
+// queueing behind them: at a working set past the caches a miss costs
+// more than all of Algorithm 2's arithmetic. Keys materialize in the last
+// pass, which also resolves every run itself when eviction could free a
+// slot found earlier.
 func ingestSlotsLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *storeStripe[K], sc *storeScratch[K], start, end int, items []T) int {
 	seg := sc.recs[start:end]
 	buf := runBuf[K, T](sc, len(seg))
@@ -1023,7 +1061,7 @@ func ingestSlotsLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *stor
 	ops.hash(s.sh.Hasher(), buf, hi, lo)
 	if s.limit == 0 {
 		for j := 0; j < len(seg); j = runEnd(seg, j) {
-			if slot, ok := st.lookup(seg[j].tag, seg[j].key, s.isStr); ok {
+			if slot, ok := st.candidate(seg[j].tag); ok {
 				seg[j].slot = slot
 			}
 		}
@@ -1031,10 +1069,10 @@ func ingestSlotsLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *stor
 		for j := 0; j < len(seg); {
 			k := runEnd(seg, j)
 			if seg[j].slot != noSlot {
-				state := s.stateOf(st, seg[j].slot)
-				touch ^= state[0]
+				rec := s.rec(st, seg[j].slot)
+				touch ^= rec[0] // the key words and the sketch header
 				for _, h := range hi[j:k] {
-					touch ^= state[s.sh.ProbeWord(h)]
+					touch ^= rec[s.kw+s.sh.ProbeWord(h)]
 				}
 			}
 			j = k
@@ -1045,7 +1083,7 @@ func ingestSlotsLocked[K StoreKey, T any](s *Store[K], ops *itemOps[T], st *stor
 	for j := 0; j < len(seg); {
 		k := runEnd(seg, j)
 		slot := seg[j].slot
-		if slot == noSlot {
+		if slot == noSlot || !s.keyIs(st, slot, seg[j].key) {
 			slot = s.slotOf(st, seg[j].tag, seg[j].key)
 		}
 		state := s.stateOf(st, slot)
@@ -1082,7 +1120,7 @@ func (s *Store[K]) Estimate(key K) (estimate float64, ok bool) {
 	tag := s.hashKey(key)
 	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
-	slot, ok := st.lookup(tag, key, s.isStr)
+	slot, ok := s.lookup(st, tag, key)
 	if ok {
 		estimate = s.estimateAt(st, slot)
 	}
@@ -1116,7 +1154,7 @@ func (s *Store[K]) EstimateBatch(keys []K, out []float64, ok []bool) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for _, rec := range sc.recs[offs[i]-n : offs[i]] {
-			slot, hit := st.lookup(rec.tag, rec.key, s.isStr)
+			slot, hit := s.lookup(st, rec.tag, rec.key)
 			ok[rec.pos], out[rec.pos] = hit, 0
 			if hit {
 				out[rec.pos] = s.estimateAt(st, slot)
@@ -1173,7 +1211,7 @@ func (s *Store[K]) EstimateWindow(key K, span time.Duration) (WindowEstimate, bo
 	tag := s.hashKey(key)
 	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
-	slot, ok := st.lookup(tag, key, s.isStr)
+	slot, ok := s.lookup(st, tag, key)
 	if ok {
 		we, err = st.ctrs[slot].(*windowRing).estimateWindow(wm, n)
 	}
@@ -1241,7 +1279,7 @@ func (s *Store[K]) Remove(key K) bool {
 	tag := s.hashKey(key)
 	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
-	slot, ok := st.lookup(tag, key, s.isStr)
+	slot, ok := s.lookup(st, tag, key)
 	if ok {
 		s.drop(st, st.cellOf(tag, slot))
 	}
@@ -1378,16 +1416,19 @@ func (s *Store[K]) SizeBits() int {
 func (s *Store[K]) Footprint() int {
 	total := int(unsafe.Sizeof(*s)+unsafe.Sizeof(*s.router)) + int(unsafe.Sizeof(storeStripe[K]{}))*cap(s.stripes)
 	if s.sh != nil {
-		total += int(unsafe.Sizeof(*s.sh)) + s.sh.Config().AuxBytes()
+		total += s.sh.Footprint()
 	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		total += st.scr.Footprint() + int(unsafe.Sizeof(storeEntry{}))*cap(st.tab) +
-			8*cap(st.slotKeys) + cap(st.flags) + 4*cap(st.free) + cap(st.arena) +
-			int(unsafe.Sizeof([]byte(nil)))*(cap(st.state)+cap(st.views)) + int(unsafe.Sizeof(Counter(nil)))*cap(st.ctrs)
-		for j := range st.state {
-			total += 8*cap(st.state[j]) + int(unsafe.Sizeof(SBitmap{}))*cap(st.views[j])
+			cap(st.flags) + 4*cap(st.free) + cap(st.arena) + int(unsafe.Sizeof(Counter(nil)))*cap(st.ctrs) +
+			int(unsafe.Sizeof([]byte(nil)))*(cap(st.recs)+cap(st.views))
+		for _, c := range st.recs {
+			total += 8 * cap(c)
+		}
+		for _, v := range st.views {
+			total += int(unsafe.Sizeof(SBitmap{})) * cap(v)
 		}
 		for _, c := range st.ctrs {
 			if c != nil {
@@ -1406,8 +1447,8 @@ func (s *Store[K]) Reset() {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		s.keys.Add(-int64(len(st.flags) - len(st.free)))
-		st.tab, st.slotKeys, st.flags, st.free, st.hand = nil, nil, nil, nil, 0
-		st.state, st.views, st.ctrs, st.arena, st.dead = nil, nil, nil, nil, 0
+		st.tab, st.recs, st.views, st.ctrs = nil, nil, nil, nil
+		st.flags, st.free, st.hand, st.arena, st.dead = nil, nil, 0, nil, 0
 		s.touchLocked(st)
 		st.mu.Unlock()
 	}
@@ -1691,7 +1732,7 @@ func (s *Store[K]) restoreEntry(key K, blob []byte) (maxW int64, err error) {
 	st := &s.stripes[s.stripeIndex(tag)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, dup := st.lookup(tag, key, s.isStr); dup {
+	if _, dup := s.lookup(st, tag, key); dup {
 		return maxW, fmt.Errorf("%w: store snapshot repeats key %v", ErrCorrupt, key)
 	}
 	slot := s.newSlot(st, c)
@@ -1701,7 +1742,7 @@ func (s *Store[K]) restoreEntry(key K, blob []byte) (maxW int64, err error) {
 			return maxW, fmt.Errorf("sbitmap: store key %v: %w", key, corrupt(err))
 		}
 	}
-	st.insert(tag, key, s.isStr, slot)
+	s.insert(st, tag, key, slot)
 	s.keys.Add(1)
 	return maxW, nil
 }

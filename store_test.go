@@ -133,7 +133,7 @@ func assertStoresIdentical[K StoreKey](t *testing.T, a, b *Store[K]) {
 		}
 		tag := b.hashKey(key)
 		st := &b.stripes[b.stripeIndex(tag)]
-		slot, _ := st.lookup(tag, key, b.isStr)
+		slot, _ := b.lookup(st, tag, key)
 		blobB, err := Marshal(b.counterAt(st, slot))
 		if err != nil {
 			t.Fatalf("key %v: %v", key, err)
