@@ -354,6 +354,15 @@ func rateThreshold(p float64, d uint) uint64 {
 // Config returns the sketch's immutable configuration.
 func (s *Sketch) Config() *Config { return s.sh.cfg }
 
+// Shape returns the sketch's shape.
+func (s *Sketch) Shape() *Shape { return s.sh }
+
+// SameShape reports whether the sketch has o's dimensions (m, N, C) and
+// sampling resolution d; o may be nil.
+func (s *Sketch) SameShape(o *Shape) bool {
+	return o != nil && s.sh.cfg.m == o.cfg.m && s.sh.cfg.n == o.cfg.n && s.sh.cfg.c == o.cfg.c && s.sh.dBits == o.dBits
+}
+
 // Add offers an item to the sketch and reports whether the sketch state
 // changed (a bucket transitioned 0→1).
 func (s *Sketch) Add(item []byte) bool { return s.sh.Add(s.st, item) }

@@ -83,6 +83,7 @@ type Store[K StoreKey] struct {
 	// restored counter must have (see decodeBase).
 	specOpts  []Option
 	emptyBlob []byte
+	baseShape *core.Shape // an S-bitmap base spec's dimensions, else nil
 
 	// win is the sliding-window configuration of a windowed(...) spec; nil
 	// otherwise. When set, per-key counters are windowRings, wm is the
@@ -256,6 +257,10 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		seed = 1
 	}
 	_, mergeable := probe.(Mergeable)
+	var baseShape *core.Shape
+	if sb, ok := probe.(*SBitmap); ok {
+		baseShape = sb.sk.Shape()
+	}
 	newBase := func() Counter {
 		c, err := base.New()
 		if err != nil {
@@ -275,6 +280,7 @@ func NewStore[K StoreKey](spec Spec, opts ...StoreOption) (*Store[K], error) {
 		mergeable:  mergeable,
 		specOpts:   specOpts,
 		emptyBlob:  emptyBlob,
+		baseShape:  baseShape,
 	}
 	s.kw = keyWords64
 	if s.isStr {
@@ -1780,6 +1786,9 @@ func (s *Store[K]) decodeBase(blob []byte) (Counter, error) {
 	c, err := Unmarshal(blob, s.specOpts...)
 	if err != nil {
 		return nil, err
+	}
+	if sb, ok := c.(*SBitmap); ok && sb.sk.SameShape(s.baseShape) {
+		return c, nil // the windowed S-bitmap's sub-windows: no second decode
 	}
 	probe, _ := Unmarshal(blob, s.specOpts...)
 	probe.Reset()

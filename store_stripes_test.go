@@ -336,6 +336,7 @@ func TestRestoreRejectsSpecMismatch(t *testing.T) {
 		{"exact", "hll:mbits=1024"},
 		{"hll:mbits=1024/windowed(width=1m,ring=4)", "hll:mbits=1024/windowed(width=1m,ring=2)"},
 		{"hll:mbits=1024/windowed(width=1m,ring=4)", "hll:mbits=2048/windowed(width=1m,ring=4)"},
+		{"sbitmap:n=1e4,eps=0.1/windowed(width=1m,ring=4)", "sbitmap:n=1e4,eps=0.05/windowed(width=1m,ring=4)"},
 	} {
 		t.Run(tc.from+" into "+tc.into, func(t *testing.T) {
 			src, err := NewStore[string](MustSpec(tc.from), WithStripes(1))
